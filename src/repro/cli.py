@@ -17,26 +17,23 @@ reviewer would reach for first:
   workload: worker pool, fair queue, dynamic batching, retry/breaker
   (``--smoke`` runs the small CI check).
 * ``chaos``     — seeded fault-injection campaign across every layer,
-  checking the resilience invariants (``--smoke`` is the CI gate;
-  ``--fleet`` runs the kill/restart drill against the sharded tier
-  followed by the lease-fenced failover drill).
+  including the in-process replication phase, checking the resilience
+  invariants.
 * ``harden``    — adversarial hardening campaign: protocol fuzzing,
   garbage admission, replay/freshness, envelope tampering, and auth
-  lockout invariants (``--smoke`` is the CI gate; ``--fleet`` runs the
-  garbage-frame and shedding drills against the sharded tier).
+  lockout invariants.
 * ``fleet``     — multi-process sharded cloud tier campaign:
   bit-identity vs the single-process scheduler, telemetry roll-up,
   shard kill/restart with journal recovery, garbage-frame containment,
-  typed load shedding, and a heavy-tailed load replay (``--smoke`` is
-  the CI gate, ``--drill`` the long variant).
+  typed load shedding, and a heavy-tailed load replay (``--phases``
+  picks a subset).
 * ``stream``    — disconnection-tolerance drill for the streaming
   lane: chunked bit-identity, disconnect/resume, mid-stream key
-  rotation, congestion backoff, and watchdog reaping (``--smoke`` is
-  the CI gate).
+  rotation, congestion backoff, and watchdog reaping.
 * ``failover``  — replicated-partition drill: journal-shipped
   standbys, SIGKILL of a loaded primary, lease-fenced promotion with
   zero acked loss, stale-epoch fencing, stream resume on the promoted
-  standby, and anti-entropy rejoin (``--smoke`` is the CI gate).
+  standby, and anti-entropy rejoin.
 * ``figures``   — regenerate the paper's evaluation figures as SVG.
 * ``alphabet``  — password-space statistics for the default alphabet.
 * ``top``       — run an instrumented fleet and render the telemetry
@@ -51,8 +48,11 @@ reviewer would reach for first:
   ``BENCH_<area>.json`` artifacts (``--check`` gates against the
   committed baseline).
 
-``serve``, ``chaos``, ``harden``, ``fleet``, ``stream`` and
-``failover`` share one observability parent parser: all accept ``--trace-out`` /
+The five seeded drills (``chaos``, ``harden``, ``fleet``, ``stream``,
+``failover``) come from one table, :data:`DRILLS`, and share one
+runner: each takes ``--seed``, ``--smoke`` (the small fixed CI gate)
+and ``--metrics``, and exits 1 when any invariant fails.
+``stats``, ``serve`` and the drills accept ``--trace-out`` /
 ``--events-out`` to export their runs as Chrome-trace JSON and JSONL
 audit events.
 """
@@ -297,54 +297,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_fleet_campaign(args: argparse.Namespace, phases, smoke: bool) -> int:
-    """Shared driver for ``fleet`` and the ``--fleet`` drill variants."""
-    from repro.fleet import run_fleet
+def _run_drill(args: argparse.Namespace) -> int:
+    """Run one seeded drill (see :data:`DRILLS`) and render its report."""
     from repro.obs import EventLog, MetricsRegistry, Observer, format_metrics_table
 
     observer = Observer(metrics=MetricsRegistry(), events=EventLog())
-    report = run_fleet(
-        seed=args.seed,
-        n_shards=args.shards,
-        smoke=smoke,
-        phases=phases,
-        observer=observer,
-    )
-    print(report.format())
-    if getattr(args, "metrics", False):
-        print()
-        print(format_metrics_table(observer.metrics))
-    _export_observability(
-        observer,
-        getattr(args, "trace_out", None),
-        getattr(args, "events_out", None),
-    )
-    return 0 if report.passed else 1
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.obs import EventLog, MetricsRegistry, Observer, format_metrics_table
-    from repro.resilience import run_campaign
-
-    if args.fleet:
-        # The sharded-tier kill/restart drill: the determinism round
-        # provides the bit-identity baseline the recovery check needs.
-        # The replicated-partition failover drill rides along so the
-        # same gate covers lease fencing and zero acked loss.
-        code = _run_fleet_campaign(
-            args, phases=("determinism", "chaos"), smoke=True
-        )
-        from repro.fleet import run_failover
-
-        print()
-        failover_report = run_failover(
-            seed=args.seed, n_partitions=args.shards, smoke=True
-        )
-        print(failover_report.format())
-        return code or (0 if failover_report.passed else 1)
-    campaign = "smoke" if args.smoke else args.campaign
-    observer = Observer(metrics=MetricsRegistry(), events=EventLog())
-    report = run_campaign(seed=args.seed, campaign=campaign, observer=observer)
+    report = args.run(args, observer)
     print(report.format())
     if args.metrics:
         print()
@@ -353,69 +311,82 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_harden(args: argparse.Namespace) -> int:
-    from repro.guard.campaign import run_hardening
-    from repro.obs import EventLog, MetricsRegistry, Observer, format_metrics_table
+def _chaos(args: argparse.Namespace, observer):
+    from repro.resilience import run_campaign
 
-    if args.fleet:
-        # The sharded-tier trust-boundary drill: raw garbage frames
-        # must be refused and counted, saturation must shed typed, and
-        # the guard must refuse malformed submissions at the front door.
-        return _run_fleet_campaign(args, phases=("harden", "shedding"), smoke=True)
-    observer = Observer(metrics=MetricsRegistry(), events=EventLog())
-    report = run_hardening(
+    campaign = "smoke" if args.smoke else args.campaign
+    return run_campaign(seed=args.seed, campaign=campaign, observer=observer)
+
+
+def _harden(args: argparse.Namespace, observer):
+    from repro.guard.campaign import run_hardening
+
+    return run_hardening(
         seed=args.seed,
         n_mutations=args.mutations,
         smoke=args.smoke,
         observer=observer,
     )
-    print(report.format())
-    if args.metrics:
-        print()
-        print(format_metrics_table(observer.metrics))
-    _export_observability(observer, args.trace_out, args.events_out)
-    return 0 if report.passed else 1
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet import ALL_PHASES
+def _fleet(args: argparse.Namespace, observer):
+    from repro.fleet import ALL_PHASES, run_fleet
 
-    phases = tuple(args.phases) if args.phases else ALL_PHASES
-    return _run_fleet_campaign(args, phases=phases, smoke=not args.drill)
+    return run_fleet(
+        seed=args.seed,
+        n_shards=args.shards,
+        smoke=args.smoke,
+        phases=tuple(args.phases) if args.phases else ALL_PHASES,
+        observer=observer,
+    )
 
 
-def _cmd_stream(args: argparse.Namespace) -> int:
-    from repro.obs import EventLog, MetricsRegistry, Observer, format_metrics_table
+def _stream(args: argparse.Namespace, observer):
     from repro.stream import run_stream
 
-    observer = Observer(metrics=MetricsRegistry(), events=EventLog())
-    report = run_stream(seed=args.seed, smoke=args.smoke, observer=observer)
-    print(report.format())
-    if args.metrics:
-        print()
-        print(format_metrics_table(observer.metrics))
-    _export_observability(observer, args.trace_out, args.events_out)
-    return 0 if report.passed else 1
+    return run_stream(seed=args.seed, smoke=args.smoke, observer=observer)
 
 
-def _cmd_failover(args: argparse.Namespace) -> int:
+def _failover(args: argparse.Namespace, observer):
     from repro.fleet import run_failover
-    from repro.obs import EventLog, MetricsRegistry, Observer, format_metrics_table
 
-    observer = Observer(metrics=MetricsRegistry(), events=EventLog())
-    report = run_failover(
+    return run_failover(
         seed=args.seed,
         n_partitions=args.partitions,
         smoke=args.smoke,
         lease_ttl_s=args.lease_ttl,
         observer=observer,
     )
-    print(report.format())
-    if args.metrics:
-        print()
-        print(format_metrics_table(observer.metrics))
-    _export_observability(observer, args.trace_out, args.events_out)
-    return 0 if report.passed else 1
+
+
+#: The seeded drills: ``(name, help, drill-specific arguments, run)``.
+#: Each becomes one subcommand run by :func:`_run_drill`; ``--seed``,
+#: ``--smoke``, ``--metrics``, ``--trace-out`` and ``--events-out`` come
+#: from the shared parents.  CI runs each as ``<name> --smoke``.
+DRILLS = (
+    ("chaos", "seeded fault-injection campaign with resilience invariants", (
+        ("--campaign", dict(type=str, default="smoke",
+                            help="campaign name (see repro.resilience.CAMPAIGNS)")),
+    ), _chaos),
+    ("harden", "adversarial hardening campaign: fuzz + trust boundaries", (
+        ("--mutations", dict(type=int, default=10_000,
+                             help="fuzz mutations per parser")),
+    ), _harden),
+    ("fleet", "sharded cloud tier campaign: determinism, recovery, shedding", (
+        ("--shards", dict(type=int, default=2, help="worker shard processes")),
+        ("--phases", dict(type=str, nargs="*", default=None,
+                          help="phase subset (default: all; see repro.fleet.ALL_PHASES)")),
+    ), _fleet),
+    ("stream",
+     "disconnection-tolerance drill: streaming resume, rotation, congestion",
+     (), _stream),
+    ("failover", "replicated-partition drill: SIGKILL failover, fencing, rejoin", (
+        ("--partitions", dict(type=int, default=2,
+                              help="replicated partitions (one primary+standby pair each)")),
+        ("--lease-ttl", dict(type=float, default=0.3,
+                             help="primary lease TTL (s); bounds promotion MTTR")),
+    ), _failover),
+)
 
 
 def _cmd_top_sharded(args: argparse.Namespace) -> int:
@@ -588,10 +559,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 def _observability_parent() -> argparse.ArgumentParser:
     """Shared ``--trace-out`` / ``--events-out`` flags for observed runs.
 
-    One parent parser instead of four hand-rolled copies, so every
-    campaign subcommand exports its run the same way with the same help
-    text (``demo`` keeps its bespoke trace-only flag, ``stats`` its own
-    wording — they predate the observed-campaign family).
+    ``stats``, ``serve`` and every drill export their runs the same way
+    with the same help text (``demo`` keeps its bespoke trace-only flag).
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--trace-out", type=str, default=None,
@@ -609,6 +578,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     obs_parent = _observability_parent()
+    drill_parent = argparse.ArgumentParser(add_help=False, parents=[obs_parent])
+    drill_parent.add_argument("--seed", type=int, default=0)
+    drill_parent.add_argument("--smoke", action="store_true",
+                              help="small fixed run; exit 1 on any violation (CI gate)")
+    drill_parent.add_argument("--metrics", action="store_true",
+                              help="print the metrics table after the run")
 
     demo = subparsers.add_parser("demo", help="run one full secure session")
     demo.add_argument("--seed", type=int, default=42)
@@ -622,7 +597,9 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(handler=_cmd_demo)
 
     stats = subparsers.add_parser(
-        "stats", help="instrumented session: span tree + metrics + audit log"
+        "stats",
+        parents=[obs_parent],
+        help="instrumented session: span tree + metrics + audit log",
     )
     stats.add_argument("--seed", type=int, default=42)
     stats.add_argument("--duration", type=float, default=20.0)
@@ -630,10 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="true marker concentration (cells/µL)")
     stats.add_argument("--events", type=int, default=30,
                        help="audit events to print (0 = all retained)")
-    stats.add_argument("--trace-out", type=str, default=None,
-                       help="write Chrome-trace JSON to this path")
-    stats.add_argument("--events-out", type=str, default=None,
-                       help="write the audit event log as JSONL to this path")
     stats.set_defaults(handler=_cmd_stats)
 
     keysize = subparsers.add_parser("keysize", help="Eq. 2 key-length calculator")
@@ -686,41 +659,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="small fixed workload; exit 1 on anomalies (CI)")
     serve.set_defaults(handler=_cmd_serve)
 
-    chaos = subparsers.add_parser(
-        "chaos",
-        parents=[obs_parent],
-        help="seeded fault-injection campaign with resilience invariants",
-    )
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--campaign", type=str, default="smoke",
-                       help="campaign name (see repro.resilience.CAMPAIGNS)")
-    chaos.add_argument("--metrics", action="store_true",
-                       help="print the metrics table after the run")
-    chaos.add_argument("--smoke", action="store_true",
-                       help="shorthand for --campaign smoke (CI gate)")
-    chaos.add_argument("--fleet", action="store_true",
-                       help="run the kill/restart drill against the sharded tier")
-    chaos.add_argument("--shards", type=int, default=2,
-                       help="shard processes for --fleet")
-    chaos.set_defaults(handler=_cmd_chaos)
-
-    harden = subparsers.add_parser(
-        "harden",
-        parents=[obs_parent],
-        help="adversarial hardening campaign: fuzz + trust boundaries",
-    )
-    harden.add_argument("--seed", type=int, default=0)
-    harden.add_argument("--mutations", type=int, default=10_000,
-                        help="fuzz mutations per parser")
-    harden.add_argument("--metrics", action="store_true",
-                        help="print the metrics table after the run")
-    harden.add_argument("--smoke", action="store_true",
-                        help="reduced fuzz budget; exit 1 on any violation (CI)")
-    harden.add_argument("--fleet", action="store_true",
-                        help="run garbage-frame + shedding drills on the sharded tier")
-    harden.add_argument("--shards", type=int, default=2,
-                        help="shard processes for --fleet")
-    harden.set_defaults(handler=_cmd_harden)
+    for name, help_text, arguments, run in DRILLS:
+        drill = subparsers.add_parser(name, parents=[drill_parent], help=help_text)
+        for flag, options in arguments:
+            drill.add_argument(flag, **options)
+        drill.set_defaults(handler=_run_drill, run=run)
 
     figures = subparsers.add_parser(
         "figures", help="regenerate the paper's figures as SVG files"
@@ -750,52 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--strict", action="store_true",
                      help="exit 1 if any SLO is in the page state")
     top.set_defaults(handler=_cmd_top)
-
-    fleet = subparsers.add_parser(
-        "fleet",
-        parents=[obs_parent],
-        help="sharded cloud tier campaign: determinism, recovery, shedding",
-    )
-    fleet.add_argument("--seed", type=int, default=0)
-    fleet.add_argument("--shards", type=int, default=2,
-                       help="worker shard processes")
-    fleet.add_argument("--smoke", action="store_true",
-                       help="small fixed campaign; exit 1 on any violation (CI)")
-    fleet.add_argument("--drill", action="store_true",
-                       help="long campaign: bigger workload + paced load replay")
-    fleet.add_argument("--phases", type=str, nargs="*", default=None,
-                       help="phase subset (default: all; see repro.fleet.ALL_PHASES)")
-    fleet.add_argument("--metrics", action="store_true",
-                       help="print the parent-side metrics table after the run")
-    fleet.set_defaults(handler=_cmd_fleet)
-
-    stream = subparsers.add_parser(
-        "stream",
-        parents=[obs_parent],
-        help="disconnection-tolerance drill: streaming resume, rotation, congestion",
-    )
-    stream.add_argument("--seed", type=int, default=0)
-    stream.add_argument("--smoke", action="store_true",
-                        help="reduced drill; exit 1 on any violation (CI gate)")
-    stream.add_argument("--metrics", action="store_true",
-                        help="print the metrics table after the run")
-    stream.set_defaults(handler=_cmd_stream)
-
-    failover = subparsers.add_parser(
-        "failover",
-        parents=[obs_parent],
-        help="replicated-partition drill: SIGKILL failover, fencing, rejoin",
-    )
-    failover.add_argument("--seed", type=int, default=0)
-    failover.add_argument("--partitions", type=int, default=2,
-                          help="replicated partitions (one primary+standby pair each)")
-    failover.add_argument("--lease-ttl", type=float, default=0.3,
-                          help="primary lease TTL (s); bounds promotion MTTR")
-    failover.add_argument("--smoke", action="store_true",
-                          help="small fixed workload; exit 1 on any violation (CI gate)")
-    failover.add_argument("--metrics", action="store_true",
-                          help="print the metrics table after the run")
-    failover.set_defaults(handler=_cmd_failover)
 
     profile = subparsers.add_parser(
         "profile", help="stage-by-stage pipeline profile (flamegraph-ready)"

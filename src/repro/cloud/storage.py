@@ -27,6 +27,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro._util.drill import canonical_digest
 from repro._util.errors import ConfigurationError, MedSenError
 from repro.dsp.peakdetect import PeakReport
 from repro.guard.admission import admit_identifier_key, admit_metadata, admit_report
@@ -72,6 +73,23 @@ def payload_checksum(payload: Dict[str, Any]) -> int:
     """CRC32 over the canonical payload encoding."""
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return zlib.crc32(encoded.encode("utf-8")) & 0xFFFFFFFF
+
+
+def record_content_hash(record) -> str:
+    """Interleaving-independent content hash of one stored record.
+
+    Sequence numbers and timestamps are excluded (commit order depends
+    on worker interleaving), so the hash is a pure function of the seed
+    whether the record came from one process, a shard, or a journal.
+    """
+    from repro.cloud.api import report_to_dict
+
+    payload = {
+        "identifier": record.identifier_key,
+        "metadata": [[k, v] for k, v in record.metadata],
+        "report": report_to_dict(record.report),
+    }
+    return canonical_digest(payload, 12)
 
 
 @dataclass(frozen=True)

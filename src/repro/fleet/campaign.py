@@ -30,11 +30,10 @@ state earlier phases left behind (exactly how a long-lived fleet runs).
 """
 
 import asyncio
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro._util.drill import DrillReport, InvariantResult, canonical_digest
 from repro._util.errors import AdmissionError, MedSenError
 from repro.fleet.cluster import FleetCluster, FleetTierConfig
 from repro.fleet.frontdoor import (
@@ -53,7 +52,6 @@ from repro.fleet.loadgen import (
 from repro.fleet.messages import SessionOutcome
 from repro.fleet.shard import store_content_hashes
 from repro.obs import NULL_OBSERVER
-from repro.resilience.chaos import InvariantResult
 from repro.serving.scheduler import FleetConfig, FleetScheduler
 from repro.serving.workload import ClinicWorkload
 
@@ -72,13 +70,12 @@ ALL_PHASES: Tuple[str, ...] = (
 
 
 @dataclass
-class FleetReport:
+class FleetReport(DrillReport):
     """Everything one fleet campaign produced."""
 
-    seed: int
-    n_shards: int
+    seed: int = 0
+    n_shards: int = 0
     phases: Tuple[str, ...] = ALL_PHASES
-    invariants: List[InvariantResult] = field(default_factory=list)
     n_sessions: int = 0
     n_shed: int = 0
     n_rejected: int = 0
@@ -89,20 +86,15 @@ class FleetReport:
     shard_completed: Dict[str, int] = field(default_factory=dict)
     load: Optional[LoadReport] = None
     outcome_digests: Tuple[str, ...] = ()
-    digest: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return all(inv.ok for inv in self.invariants)
-
-    def failures(self) -> List[InvariantResult]:
-        return [inv for inv in self.invariants if not inv.ok]
-
-    def format(self) -> str:
-        lines = [
+    def title(self) -> str:
+        return (
             f"fleet campaign seed {self.seed}, {self.n_shards} shards, "
-            f"phases {'/'.join(self.phases)}: "
-            f"{'PASS' if self.passed else 'FAIL'}",
+            f"phases {'/'.join(self.phases)}"
+        )
+
+    def summary_lines(self) -> List[str]:
+        lines = [
             f"sessions          {self.n_sessions} completed, {self.n_shed} shed, "
             f"{self.n_rejected} rejected, {self.n_failed} failed",
             f"resilience        {self.n_restarts} shard restarts, "
@@ -112,18 +104,11 @@ class FleetReport:
             + ", ".join(
                 f"{sid}:{count}" for sid, count in sorted(self.shard_completed.items())
             ),
-            f"digest            {self.digest}",
         ]
         if self.load is not None:
             lines.append("load replay")
             lines.extend("  " + line for line in self.load.format().splitlines())
-        for inv in self.invariants:
-            mark = "ok " if inv.ok else "FAIL"
-            lines.append(
-                f"invariant [{mark}]   {inv.name}"
-                + (f" — {inv.detail}" if inv.detail else "")
-            )
-        return "\n".join(lines)
+        return lines
 
 
 def _reference_outcomes(
@@ -486,9 +471,10 @@ def run_fleet(
 ) -> FleetReport:
     """Run one fleet campaign and return its report.
 
-    ``phases`` selects a subset — ``python -m repro chaos --fleet`` runs
-    just the kill/restart drill, ``harden --fleet`` just the garbage
-    containment drill (each with the determinism round it depends on).
+    ``smoke`` picks the small fixed workload (the CI gate) over the
+    long campaign.  ``phases`` selects a subset — ``python -m repro
+    fleet --phases chaos`` runs just the kill/restart drill, with the
+    determinism round it depends on.
     """
     unknown = set(phases) - set(ALL_PHASES)
     if unknown:
@@ -528,20 +514,14 @@ def run_fleet(
                 smoke,
             )
         )
-    payload = json.dumps(
+    report.digest = canonical_digest(
         {
             "seed": report.seed,
             "n_shards": report.n_shards,
             "phases": list(report.phases),
             "outcomes": list(report.outcome_digests),
-            "invariants": [
-                [inv.name, inv.ok] for inv in report.invariants
-            ],
+            "invariants": [[inv.name, inv.ok] for inv in report.invariants],
         },
-        sort_keys=True,
-        separators=(",", ":"),
+        12,
     )
-    report.digest = hashlib.blake2b(
-        payload.encode("utf-8"), digest_size=12
-    ).hexdigest()
     return report

@@ -26,20 +26,18 @@ seed, which is how CI pins it.
 """
 
 import asyncio
-import hashlib
-import json
 import os
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro._util.drill import DrillReport, InvariantResult, canonical_digest
 from repro._util.rng import ensure_rng
 from repro.fleet.campaign import _reference_outcomes, _submit_round
 from repro.fleet.frontdoor import AsyncFrontDoor, FleetRequestFailedError
 from repro.fleet.cluster import FleetTierConfig
 from repro.fleet.replication import ReplicatedCluster, ReplicationConfig
 from repro.obs import NULL_OBSERVER
-from repro.resilience.chaos import InvariantResult
 from repro.resilience.journal import decode_entry
 from repro.serving.scheduler import FleetConfig
 from repro.serving.workload import ClinicWorkload
@@ -53,12 +51,11 @@ MTTR_SLACK_S = 5.0
 
 
 @dataclass
-class FailoverReport:
+class FailoverReport(DrillReport):
     """Everything one failover drill produced."""
 
-    seed: int
-    n_partitions: int
-    invariants: List[InvariantResult] = field(default_factory=list)
+    seed: int = 0
+    n_partitions: int = 0
     n_acked: int = 0
     n_failovers: int = 0
     n_rejoins: int = 0
@@ -69,19 +66,15 @@ class FailoverReport:
     lease_ttl_s: float = 0.0
     replog_lines: int = 0
     outcome_digests: Tuple[str, ...] = ()
-    digest: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return all(inv.ok for inv in self.invariants)
+    def title(self) -> str:
+        return (
+            f"failover drill seed {self.seed}, "
+            f"{self.n_partitions} replicated partitions"
+        )
 
-    def failures(self) -> List[InvariantResult]:
-        return [inv for inv in self.invariants if not inv.ok]
-
-    def format(self) -> str:
-        lines = [
-            f"failover drill seed {self.seed}, {self.n_partitions} replicated "
-            f"partitions: {'PASS' if self.passed else 'FAIL'}",
+    def summary_lines(self) -> List[str]:
+        return [
             f"acked             {self.n_acked} sessions, "
             f"{self.n_shed_during_failover} shed during failover",
             f"failovers         {self.n_failovers} promotions "
@@ -90,15 +83,7 @@ class FailoverReport:
             f"fencing           {self.n_fenced} stale-epoch replies refused, "
             f"{self.n_handoff_queued} requests queued through handoff",
             f"replication       {self.replog_lines} journal lines shipped",
-            f"digest            {self.digest}",
         ]
-        for inv in self.invariants:
-            mark = "ok " if inv.ok else "FAIL"
-            lines.append(
-                f"invariant [{mark}]   {inv.name}"
-                + (f" — {inv.detail}" if inv.detail else "")
-            )
-        return "\n".join(lines)
 
 
 def _partition_tenants(
@@ -429,7 +414,7 @@ def run_failover(
         asyncio.run(
             _drill(report, cluster, workload, reference, reference_hashes, observer)
         )
-    payload = json.dumps(
+    report.digest = canonical_digest(
         {
             "seed": report.seed,
             "n_partitions": report.n_partitions,
@@ -438,10 +423,6 @@ def run_failover(
             "fenced": report.n_fenced >= 1,
             "failovers": report.n_failovers,
         },
-        sort_keys=True,
-        separators=(",", ":"),
+        12,
     )
-    report.digest = hashlib.blake2b(
-        payload.encode("utf-8"), digest_size=12
-    ).hexdigest()
     return report

@@ -14,11 +14,10 @@ over them so bit-identity with the single-process tier is a one-line
 comparison (the chaos campaign and ``bench_scaling`` both use it).
 """
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro._util.drill import canonical_digest
 from repro.auth.identifier import CytoIdentifier
 from repro.particles.sample import Sample
 
@@ -65,7 +64,7 @@ class SessionOutcome:
         deployment topology; *what* it produced must be a pure function
         of ``(fleet seed, tenant, tenant_sequence)``.
         """
-        payload = json.dumps(
+        return canonical_digest(
             {
                 "tenant": self.tenant_id,
                 "sequence": self.tenant_sequence,
@@ -78,10 +77,8 @@ class SessionOutcome:
                 "decrypted": self.decrypted_count,
                 "marker": self.marker_count,
             },
-            sort_keys=True,
-            separators=(",", ":"),
+            12,
         )
-        return hashlib.blake2b(payload.encode("utf-8"), digest_size=12).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,6 @@ unparsable frames) and the loop keeps serving, mirroring the guard
 layer's total-parsing contract.
 """
 
-import hashlib
-import json
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -40,7 +38,7 @@ from repro._util.errors import (
     OversizedPayloadError,
     ValidationError,
 )
-from repro.cloud.storage import RecordStore
+from repro.cloud.storage import RecordStore, record_content_hash
 from repro.fleet.messages import (
     Ack,
     Drain,
@@ -109,24 +107,6 @@ class ShardSpec:
     #: attaches the committed record's journal line so the front door
     #: can ship it to the partition's standby before acking.
     replicated: bool = False
-
-
-def record_content_hash(record) -> str:
-    """Interleaving-independent content hash of one stored record.
-
-    Matches the chaos campaign's convention: sequence numbers and
-    timestamps are excluded (commit order depends on worker
-    interleaving) so the hash is a pure function of the fleet seed.
-    """
-    from repro.cloud.api import report_to_dict
-
-    payload = {
-        "identifier": record.identifier_key,
-        "metadata": [[k, v] for k, v in record.metadata],
-        "report": report_to_dict(record.report),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=12).hexdigest()
 
 
 def store_content_hashes(store: RecordStore) -> Tuple[str, ...]:

@@ -34,14 +34,13 @@ This module deliberately sits outside ``repro.guard``'s public
 run it via the CLI.
 """
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
+from repro._util.drill import DrillReport, InvariantResult, canonical_digest
 from repro._util.errors import (
     AdmissionError,
     EnvelopeError,
@@ -59,57 +58,32 @@ from repro.obs import NULL_OBSERVER, EventLog, ManualClock, MetricsRegistry, Obs
 _SECRET = b"hardening-campaign-secret"
 
 
-@dataclass(frozen=True)
-class InvariantResult:
-    """One checked hardening invariant."""
-
-    name: str
-    ok: bool
-    detail: str = ""
-
-
 @dataclass
-class HardeningReport:
+class HardeningReport(DrillReport):
     """Everything one hardening run produced."""
 
-    seed: int
-    n_mutations: int
-    invariants: List[InvariantResult] = field(default_factory=list)
+    seed: int = 0
+    n_mutations: int = 0
     fuzz: Optional[FuzzReport] = None
     n_rejected: int = 0
     n_replays_refused: int = 0
     n_stale_refused: int = 0
     n_envelopes_refused: int = 0
     n_lockout_refusals: int = 0
-    digest: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return all(inv.ok for inv in self.invariants)
+    def title(self) -> str:
+        return f"hardening campaign seed {self.seed}"
 
-    def failures(self) -> List[InvariantResult]:
-        return [inv for inv in self.invariants if not inv.ok]
-
-    def format(self) -> str:
-        """Human-readable hardening summary."""
+    def summary_lines(self) -> List[str]:
         lines = [
-            f"hardening campaign seed {self.seed}: "
-            f"{'PASS' if self.passed else 'FAIL'}",
             f"guard accounting  {self.n_rejected} payloads rejected, "
             f"{self.n_replays_refused} replays, {self.n_stale_refused} stale, "
             f"{self.n_envelopes_refused} envelopes, "
             f"{self.n_lockout_refusals} lockout refusals",
-            f"digest            {self.digest}",
         ]
         if self.fuzz is not None:
             lines.append(self.fuzz.format())
-        for inv in self.invariants:
-            mark = "ok " if inv.ok else "FAIL"
-            lines.append(
-                f"invariant [{mark}]   {inv.name}"
-                + (f" — {inv.detail}" if inv.detail else "")
-            )
-        return "\n".join(lines)
+        return lines
 
 
 # ---------------------------------------------------------------------------
@@ -547,23 +521,19 @@ def run_hardening(
     # Final accounting + deterministic digest
     # ------------------------------------------------------------------
     report.n_rejected = int(_counter(observer, "guard.rejected"))
-    report.digest = hashlib.blake2b(
-        json.dumps(
-            {
-                "seed": report.seed,
-                "n_mutations": report.n_mutations,
-                "fuzz": fuzz.digest(),
-                "invariants": [[inv.name, inv.ok] for inv in report.invariants],
-                "counts": [
-                    report.n_replays_refused,
-                    report.n_stale_refused,
-                    report.n_envelopes_refused,
-                    report.n_lockout_refusals,
-                ],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8"),
-        digest_size=16,
-    ).hexdigest()
+    report.digest = canonical_digest(
+        {
+            "seed": report.seed,
+            "n_mutations": report.n_mutations,
+            "fuzz": fuzz.digest(),
+            "invariants": [[inv.name, inv.ok] for inv in report.invariants],
+            "counts": [
+                report.n_replays_refused,
+                report.n_stale_refused,
+                report.n_envelopes_refused,
+                report.n_lockout_refusals,
+            ],
+        },
+        16,
+    )
     return report

@@ -34,16 +34,15 @@ schedule, health report, record contents, and hence the identical
 :attr:`ChaosReport.digest` — the property the chaos tests pin.
 """
 
-import hashlib
-import json
 import os
 import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro._util.drill import DrillReport, InvariantResult, canonical_digest
 from repro._util.errors import MedSenError
 from repro.cloud.server import AnalysisServer
-from repro.cloud.storage import RecordStore
+from repro.cloud.storage import RecordStore, record_content_hash
 from repro.core.device import MedSenDevice
 from repro.core.diagnosis import CD4_STAGING
 from repro.obs import NULL_OBSERVER, ManualClock
@@ -152,22 +151,12 @@ CAMPAIGNS: Dict[str, Campaign] = {
 }
 
 
-@dataclass(frozen=True)
-class InvariantResult:
-    """One checked invariant."""
-
-    name: str
-    ok: bool
-    detail: str = ""
-
-
 @dataclass
-class ChaosReport:
+class ChaosReport(DrillReport):
     """Everything one chaos run produced."""
 
-    campaign: str
-    seed: int
-    invariants: List[InvariantResult] = field(default_factory=list)
+    campaign: str = ""
+    seed: int = 0
     health: Tuple = ()
     injections: Tuple = ()
     trial_outcomes: List[Tuple] = field(default_factory=list)
@@ -186,20 +175,12 @@ class ChaosReport:
     n_replica_quarantined: int = 0
     replication_epoch: int = 0
     stream_digest: str = ""
-    digest: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return all(inv.ok for inv in self.invariants)
+    def title(self) -> str:
+        return f"chaos campaign {self.campaign!r} seed {self.seed}"
 
-    def failures(self) -> List[InvariantResult]:
-        return [inv for inv in self.invariants if not inv.ok]
-
-    def format(self) -> str:
-        """Human-readable chaos summary."""
+    def summary_lines(self) -> List[str]:
         lines = [
-            f"chaos campaign {self.campaign!r} seed {self.seed}: "
-            f"{'PASS' if self.passed else 'FAIL'}",
             f"faults injected   {len(self.injections)} across sites "
             f"{sorted({f.site for f in self.injections})}",
             f"fleet             {self.n_completed}/{self.n_submitted} completed, "
@@ -208,54 +189,21 @@ class ChaosReport:
             f"{self.n_duplicates_dropped} duplicates dropped",
             f"recovery          {self.n_records_recovered}/{self.n_records_committed} "
             f"records recovered, {self.n_records_quarantined} quarantined",
-            f"digest            {self.digest}",
         ]
         if self.stream_digest:
-            lines.insert(
-                len(lines) - 1, f"stream outcome    {self.stream_digest}"
-            )
+            lines.append(f"stream outcome    {self.stream_digest}")
         if self.n_replica_applied or self.n_replica_quarantined:
-            lines.insert(
-                len(lines) - 1,
+            lines.append(
                 f"replication       {self.n_replica_applied} records applied "
                 f"on the standby, {self.n_replica_quarantined} torn lines "
-                f"quarantined, epoch {self.replication_epoch}",
+                f"quarantined, epoch {self.replication_epoch}"
             )
         for state in self.health:
             lines.append(
                 f"health            {state.component}: {state.status.upper()}"
                 + (f" ({state.reason})" if state.reason else "")
             )
-        for inv in self.invariants:
-            mark = "ok " if inv.ok else "FAIL"
-            lines.append(
-                f"invariant [{mark}]   {inv.name}"
-                + (f" — {inv.detail}" if inv.detail else "")
-            )
-        return "\n".join(lines)
-
-
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _record_content_hash(record) -> str:
-    """Interleaving-independent content hash for one stored record.
-
-    Excludes the sequence number and timestamp on purpose: workers
-    commit in nondeterministic order, but *what* each tenant's record
-    contains is a pure function of the seed.
-    """
-    from repro.cloud.api import report_to_dict
-
-    payload = {
-        "identifier": record.identifier_key,
-        "metadata": [[k, v] for k, v in record.metadata],
-        "report": report_to_dict(record.report),
-    }
-    return hashlib.blake2b(
-        _canonical(payload).encode("utf-8"), digest_size=12
-    ).hexdigest()
+        return lines
 
 
 def run_campaign(
@@ -490,7 +438,7 @@ def run_campaign(
             )
         report.record_hashes = tuple(
             sorted(
-                _record_content_hash(record)
+                record_content_hash(record)
                 for identifier in store.identifiers()
                 for record in store.fetch(identifier)
             )
@@ -657,11 +605,11 @@ def run_campaign(
         report.n_replica_applied = standby.n_records
         report.n_replica_quarantined = torn_quarantined
         expected_hashes = sorted(
-            _record_content_hash(record)
+            record_content_hash(record)
             for record in (committed[:-1] if torn else committed)
         )
         standby_hashes = sorted(
-            _record_content_hash(record)
+            record_content_hash(record)
             for identifier in standby.identifiers()
             for record in standby.fetch(identifier)
         )
@@ -720,7 +668,7 @@ def run_campaign(
                 except ValueError:
                     pass
             rejoined_hashes = sorted(
-                _record_content_hash(record)
+                record_content_hash(record)
                 for identifier in rejoined.identifiers()
                 for record in rejoined.fetch(identifier)
             )
@@ -751,33 +699,29 @@ def run_campaign(
                 f"after {len(report.injections)} injections",
             )
         )
-    report.digest = hashlib.blake2b(
-        _canonical(
-            {
-                "campaign": campaign,
-                "seed": int(seed),
-                "injections": [
-                    [f.site, f.label, f.index, f.detail] for f in report.injections
-                ],
-                "health": [
-                    [s.component, s.status, s.reason] for s in report.health
-                ],
-                "trials": [
-                    [t[0], t[1], t[2], t[3], t[4]] for t in report.trial_outcomes
-                ],
-                "records": list(report.record_hashes),
-                "recovered": [
-                    report.n_records_recovered,
-                    report.n_records_quarantined,
-                ],
-                "stream": report.stream_digest,
-                "replication": [
-                    report.n_replica_applied,
-                    report.n_replica_quarantined,
-                    report.replication_epoch,
-                ],
-            }
-        ).encode("utf-8"),
-        digest_size=16,
-    ).hexdigest()
+    report.digest = canonical_digest(
+        {
+            "campaign": campaign,
+            "seed": int(seed),
+            "injections": [
+                [f.site, f.label, f.index, f.detail] for f in report.injections
+            ],
+            "health": [[s.component, s.status, s.reason] for s in report.health],
+            "trials": [
+                [t[0], t[1], t[2], t[3], t[4]] for t in report.trial_outcomes
+            ],
+            "records": list(report.record_hashes),
+            "recovered": [
+                report.n_records_recovered,
+                report.n_records_quarantined,
+            ],
+            "stream": report.stream_digest,
+            "replication": [
+                report.n_replica_applied,
+                report.n_replica_quarantined,
+                report.replication_epoch,
+            ],
+        },
+        16,
+    )
     return report

@@ -21,7 +21,6 @@ bit-identical to the one-shot path) lives in
 """
 
 from repro.stream.campaign import (
-    StreamInvariant,
     StreamReport,
     run_stream,
     synthetic_stream_trace,
@@ -61,7 +60,6 @@ __all__ = [
     "ResumeInfo",
     "StreamChunk",
     "StreamGateway",
-    "StreamInvariant",
     "StreamOutcome",
     "StreamReport",
     "StreamSessionConfig",

@@ -28,13 +28,12 @@ Everything is seeded; the report digest is deterministic, so the drill
 can gate CI (``python -m repro stream --smoke``).
 """
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro._util.drill import DrillReport, InvariantResult, canonical_digest
 from repro._util.errors import (
     SequenceGapError,
     SessionReapedError,
@@ -56,39 +55,20 @@ from repro.stream.session import (
 _SECRET = b"stream-drill-shared-secret"
 
 
-@dataclass(frozen=True)
-class StreamInvariant:
-    """One checked property of the streaming lane."""
-
-    name: str
-    ok: bool
-    detail: str = ""
-
-
 @dataclass
-class StreamReport:
+class StreamReport(DrillReport):
     """Everything one streaming drill produced."""
 
-    seed: int
-    smoke: bool
-    invariants: List[StreamInvariant] = field(default_factory=list)
+    seed: int = 0
+    smoke: bool = False
     outcome_digests: List[str] = field(default_factory=list)
     counters: Dict[str, int] = field(default_factory=dict)
-    digest: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return all(inv.ok for inv in self.invariants)
+    def title(self) -> str:
+        return f"stream drill seed {self.seed}{' (smoke)' if self.smoke else ''}"
 
-    def failures(self) -> List[StreamInvariant]:
-        return [inv for inv in self.invariants if not inv.ok]
-
-    def format(self) -> str:
-        """Human-readable drill summary."""
-        lines = [
-            f"stream drill seed {self.seed}"
-            f"{' (smoke)' if self.smoke else ''}: "
-            f"{'PASS' if self.passed else 'FAIL'}",
+    def summary_lines(self) -> List[str]:
+        return [
             "link              "
             f"{self.counters.get('chunks_sent', 0)} chunks sent, "
             f"{self.counters.get('retransmits', 0)} retransmits, "
@@ -101,12 +81,6 @@ class StreamReport:
             f"{self.counters.get('reaped', 0)} reaped, "
             f"{self.counters.get('degraded', 0)} degraded",
         ]
-        for inv in self.invariants:
-            mark = "PASS" if inv.ok else "FAIL"
-            detail = f"  ({inv.detail})" if inv.detail and not inv.ok else ""
-            lines.append(f"  [{mark}] {inv.name}{detail}")
-        lines.append(f"digest            {self.digest}")
-        return "\n".join(lines)
 
 
 class _ScriptedLink:
@@ -224,7 +198,7 @@ def run_stream(
                 f"trial {trial} chunk {chunk}: {outcome.digest} != {expected}"
             )
     checks.append(
-        StreamInvariant(
+        InvariantResult(
             name="stream-bit-identical",
             ok=not mismatches,
             detail="; ".join(mismatches),
@@ -268,7 +242,7 @@ def run_stream(
     if streamer.retransmits < 2:
         problems.append(f"{streamer.retransmits} retransmits, scripted >= 2")
     checks.append(
-        StreamInvariant(
+        InvariantResult(
             name="stream-resume-replays-nothing",
             ok=not problems,
             detail="; ".join(problems),
@@ -276,7 +250,7 @@ def run_stream(
     )
     rebuilt = gateway.replay_journal(outcome.session_id)
     checks.append(
-        StreamInvariant(
+        InvariantResult(
             name="stream-journal-rebuild",
             ok=report_digest(rebuilt) == outcome.digest,
             detail=f"{report_digest(rebuilt)} vs {outcome.digest}",
@@ -325,7 +299,7 @@ def run_stream(
             "expected exactly 2"
         )
     checks.append(
-        StreamInvariant(
+        InvariantResult(
             name="stream-epoch-rotation-window",
             ok=not problems,
             detail="; ".join(problems),
@@ -384,7 +358,7 @@ def run_stream(
     if gateway.chunks_analyzed != analysed_before:
         probe_problems.append("replayed chunk was re-analysed")
     checks.append(
-        StreamInvariant(
+        InvariantResult(
             name="stream-reorder-refused",
             ok=not probe_problems,
             detail="; ".join(probe_problems),
@@ -446,7 +420,7 @@ def run_stream(
     if diagnosis.status == OK:
         problems.append("degraded stream still diagnosed OK")
     checks.append(
-        StreamInvariant(
+        InvariantResult(
             name="stream-congestion-degrades",
             ok=not problems,
             detail="; ".join(problems),
@@ -537,7 +511,7 @@ def run_stream(
         # deferred its suspension at the 20 s mark.
         pass
     checks.append(
-        StreamInvariant(
+        InvariantResult(
             name="stream-watchdog-reaps",
             ok=not problems,
             detail="; ".join(problems),
@@ -547,21 +521,15 @@ def run_stream(
     # ------------------------------------------------------------------
     # Final report digest (deterministic; no wall-clock anywhere).
     # ------------------------------------------------------------------
-    canonical = json.dumps(
+    report.digest = canonical_digest(
         {
             "drill": "stream",
             "seed": seed,
             "smoke": smoke,
-            "invariants": [
-                (inv.name, inv.ok, inv.detail) for inv in checks
-            ],
+            "invariants": [(inv.name, inv.ok, inv.detail) for inv in checks],
             "outcomes": report.outcome_digests,
             "counters": dict(sorted(counters.items())),
         },
-        sort_keys=True,
-        separators=(",", ":"),
+        16,
     )
-    report.digest = hashlib.blake2b(
-        canonical.encode("utf-8"), digest_size=16
-    ).hexdigest()
     return report

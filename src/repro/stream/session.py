@@ -32,12 +32,12 @@ Every transition is an audit event; every refusal is typed.
 
 import hashlib
 import hmac as hmac_mod
-import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro._util.drill import canonical_digest
 from repro._util.errors import (
     ResumeAuthError,
     SequenceGapError,
@@ -178,10 +178,7 @@ def report_digest(report: PeakReport) -> str:
     """
     from repro.cloud.api import report_to_dict
 
-    canonical = json.dumps(
-        report_to_dict(report), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=12).hexdigest()
+    return canonical_digest(report_to_dict(report), 12)
 
 
 class _Session:

@@ -78,9 +78,30 @@ class TestFleet:
         )
         assert callable(args.handler)
         assert args.shards == 4 and args.phases == ["harden"]
-        assert parser.parse_args(["chaos", "--fleet"]).fleet
-        assert parser.parse_args(["harden", "--fleet"]).fleet
         assert parser.parse_args(["top", "--shards", "2"]).shards == 2
+        # The sharded-tier phases run once, under ``fleet``; the old
+        # duplicate entry points are gone.
+        for argv in (["chaos", "--fleet"], ["chaos", "--shards", "2"],
+                     ["harden", "--fleet"], ["harden", "--shards", "2"],
+                     ["fleet", "--drill"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+
+    @pytest.mark.parametrize("argv, smoke", [(["fleet"], False),
+                                             (["fleet", "--smoke"], True)])
+    def test_smoke_flag_picks_campaign_size(self, monkeypatch, capsys, argv, smoke):
+        import repro.fleet
+        from repro.fleet import FleetReport
+
+        calls = []
+
+        def fake_run_fleet(**kwargs):
+            calls.append(kwargs)
+            return FleetReport(seed=kwargs["seed"], n_shards=kwargs["n_shards"])
+
+        monkeypatch.setattr(repro.fleet, "run_fleet", fake_run_fleet)
+        assert main(argv) == 0
+        assert [call["smoke"] for call in calls] == [smoke]
 
     def test_unknown_phase_is_typed_error(self, capsys):
         assert main(["fleet", "--smoke", "--phases", "nonsense"]) == 2
@@ -93,3 +114,16 @@ class TestFleet:
         out = capsys.readouterr().out
         assert "garbage_frames_refused_and_shard_survives" in out
         assert "PASS" in out
+
+
+class TestDrillTable:
+    def test_ci_runs_each_drill_exactly_once(self):
+        from pathlib import Path
+
+        from repro.cli import DRILLS
+
+        ci = (Path(__file__).resolve().parents[1] / ".github" / "workflows"
+              / "ci.yml").read_text()
+        for name, *_ in DRILLS:
+            assert ci.count(f"python -m repro {name} ") == 1, name
+            assert ci.count(f"python -m repro {name} --smoke\n") == 1, name

@@ -51,6 +51,9 @@ class TestFleetCampaign:
     def test_digest_is_stable_shape(self, campaign):
         assert len(campaign.digest) == 24
         assert campaign.outcome_digests
+        assert campaign.digest == "1f4bf79938b618af4dda7467", (
+            f"fleet drill digest moved: {campaign.digest}"
+        )
 
 
 class TestClusterLifecycle:

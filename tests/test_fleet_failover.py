@@ -54,3 +54,6 @@ class TestFailoverDrill:
         assert len(drill.digest) == 24
         assert drill.outcome_digests
         assert drill.lease_ttl_s > 0
+        assert drill.digest == "1608af42bd46f1379d5fc395", (
+            f"failover drill digest moved: {drill.digest}"
+        )

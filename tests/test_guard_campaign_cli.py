@@ -43,6 +43,9 @@ class TestRunHardening:
         assert smoke_report.fuzz.contained
 
     def test_digest_deterministic(self, smoke_report):
+        assert smoke_report.digest == "9c43bc141e97a92a3980a14745109f82", (
+            f"harden drill digest moved: {smoke_report.digest}"
+        )
         again = run_hardening(seed=0, smoke=True)
         assert again.digest == smoke_report.digest
 

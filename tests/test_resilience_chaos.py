@@ -41,6 +41,9 @@ class TestSmokeCampaign:
         assert "PASS" in text
         assert "no-deadlock" in text
         assert smoke.digest in text
+        assert smoke.digest == "8e34cdaa2e0bce8bc9482b3909ec5410", (
+            f"chaos drill digest moved: {smoke.digest}"
+        )
 
     def test_stream_drill_folded_in(self, smoke):
         # The disconnect/resume drill rides the smoke campaign: both

@@ -43,6 +43,9 @@ class TestRunStream:
         assert smoke.digest in text
 
     def test_same_seed_same_digest(self, smoke):
+        assert smoke.digest == "f4f0446c669cc3c1752185e337c08911", (
+            f"stream drill digest moved: {smoke.digest}"
+        )
         again = run_stream(seed=0, smoke=True)
         assert again.digest == smoke.digest
         assert again.outcome_digests == smoke.outcome_digests
@@ -79,10 +82,11 @@ class TestCli:
         assert "stream.epoch_rotated" in kinds
 
     def test_observability_flags_shared_across_campaign_commands(self):
-        # One parent parser feeds serve/chaos/harden/fleet/stream: the
-        # flags must parse identically everywhere they are offered.
+        # One parent parser feeds stats/serve and every drill: the flags
+        # must parse identically everywhere they are offered.
         parser = build_parser()
-        for command in ("serve", "chaos", "harden", "fleet", "stream"):
+        for command in ("serve", "chaos", "harden", "fleet", "stream",
+                        "failover", "stats"):
             args = parser.parse_args(
                 [command, "--trace-out", "t.json", "--events-out", "e.jsonl"]
             )
