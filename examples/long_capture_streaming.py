@@ -6,7 +6,7 @@ scaled-down version (10 minutes) of that workflow:
 
 * the capture is processed *in streaming chunks* as it is acquired —
   peaks surface long before the run ends;
-* streaming results are verified against batch detection;
+* the streamed report is checked bit-identical to batch detection;
 * measured bytes/second and the DEFLATE ratio are extrapolated to the
   full 3-hour run and compared with §VII-B's numbers.
 
@@ -18,8 +18,9 @@ import numpy as np
 from repro.core.device import MedSenDevice
 from repro.dsp.peakdetect import PeakDetector
 from repro.dsp.recording import CsvRecordingModel, compression_ratio
-from repro.dsp.streaming import StreamingPeakDetector
+from repro.dsp.windowed import WindowedPeakDetector
 from repro.particles import BEAD_7P8, Sample
+from repro.stream import report_digest
 
 DURATION_S = 600.0
 CHUNK_S = 20.0
@@ -36,19 +37,20 @@ def main() -> None:
     print(f"capture: {trace.n_channels} channels x {trace.n_samples} samples")
 
     # --- streaming analysis ---
-    streaming = StreamingPeakDetector(trace.sampling_rate_hz, window_s=30.0)
+    streaming = WindowedPeakDetector(trace.n_channels, trace.sampling_rate_hz)
     chunk = int(CHUNK_S * trace.sampling_rate_hz)
     emitted_so_far = 0
     for start in range(0, trace.n_samples, chunk):
-        fresh = streaming.feed(trace.voltages[:, start : start + chunk])
-        emitted_so_far += len(fresh)
+        emitted_so_far += streaming.feed(trace.voltages[:, start : start + chunk])
         if start % (5 * chunk) == 0:
             t = start / trace.sampling_rate_hz
             print(f"  t={t:5.0f}s: {emitted_so_far} peaks emitted so far")
     report = streaming.finish()
 
     batch = PeakDetector().detect(trace.voltages, trace.sampling_rate_hz)
-    print(f"\nstreaming total: {report.count} peaks; batch: {batch.count}; "
+    if report_digest(report) != report_digest(batch):
+        raise SystemExit("streamed report differs from batch detection")
+    print(f"\nstreaming total: {report.count} peaks, bit-identical to batch; "
           f"ground truth arrivals: {capture.ground_truth.total_arrived}")
 
     # --- data volume extrapolation ---

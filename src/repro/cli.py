@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Sixteen subcommands cover the workflows a bench scientist or security
+Fifteen subcommands cover the workflows a bench scientist or security
 reviewer would reach for first:
 
 * ``demo``      — one full secure diagnostic session, verbose
@@ -8,7 +8,9 @@ reviewer would reach for first:
   a Chrome-trace JSON of the session's spans).
 * ``stats``     — run an instrumented session and print the span
   tree, metrics table, and audit event log (``--trace-out`` /
-  ``--events-out`` export Chrome-trace JSON / JSONL).
+  ``--events-out`` export Chrome-trace JSON / JSONL;
+  ``--folded-out`` writes the span tree as folded stacks for a
+  flame graph).
 * ``keysize``   — Eq. 2 key-length calculator.
 * ``attacks``   — run the eavesdropper suite against a fresh capture.
 * ``selftest``  — electrode-array self-test with optional injected
@@ -41,9 +43,6 @@ reviewer would reach for first:
   (``--shards N`` runs the traffic through N shard processes and
   renders the cross-shard roll-up: summed counters, bucket-merged
   quantile sketches — never averaged percentiles).
-* ``profile``   — stage-by-stage pipeline profile (demodulate /
-  detrend / threshold / classify / authenticate) with optional
-  folded-stack flamegraph output.
 * ``bench``     — run the benchmark trajectory and write versioned
   ``BENCH_<area>.json`` artifacts (``--check`` gates against the
   committed baseline).
@@ -139,6 +138,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
           f"diagnosis={result.diagnosis.label} "
           f"recovered_count={result.decryption.total_count}")
     _export_observability(observer, args.trace_out, args.events_out)
+    if args.folded_out:
+        from repro.telemetry import folded_from_tracer
+
+        with open(args.folded_out, "w", encoding="utf-8") as handle:
+            handle.write(folded_from_tracer(observer.tracer) + "\n")
+        print(f"folded stacks written: {args.folded_out}")
     return 0
 
 
@@ -393,21 +398,21 @@ def _cmd_top_sharded(args: argparse.Namespace) -> int:
     """``top --shards N``: clinic traffic through N shard processes,
     then the cross-shard telemetry roll-up.
 
-    Counters sum; quantile sketches merge bucket-by-bucket via
-    :func:`~repro.telemetry.merge_registries` — the fleet p99 is the
-    true cross-shard p99, never an average of per-shard percentiles.
-    Per-shard gauges stay namespaced (a gauge is a point-in-time value;
-    summing gauges across shards would fabricate a number no shard
-    ever reported).
+    :func:`~repro.fleet.rollup_telemetry` sums counters, merges
+    histograms bucket by bucket and namespaces gauges per shard.
     """
     import asyncio
     import time
 
     from repro.core.config import MedSenConfig
-    from repro.fleet import AsyncFrontDoor, FleetCluster, FleetTierConfig
-    from repro.obs import MetricsRegistry
+    from repro.fleet import (
+        AsyncFrontDoor,
+        FleetCluster,
+        FleetTierConfig,
+        rollup_telemetry,
+    )
     from repro.serving import ClinicWorkload, FleetConfig
-    from repro.telemetry import QuantileRegistry, merge_registries, render_dashboard
+    from repro.telemetry import render_dashboard
 
     workload = ClinicWorkload(
         n_tenants=args.tenants,
@@ -451,16 +456,7 @@ def _cmd_top_sharded(args: argparse.Namespace) -> int:
         snapshots = cluster.telemetry()
         healths = cluster.health()
     elapsed = time.monotonic() - started
-    rollup = MetricsRegistry()
-    for snapshot in snapshots:
-        for name, value in sorted(snapshot.counters.items()):
-            rollup.counter(name).inc(value)
-        for name, value in sorted(snapshot.gauges.items()):
-            rollup.gauge(f"{name}[{snapshot.shard_id}]").set(value)
-    merged = merge_registries(
-        [QuantileRegistry.from_state(s.quantiles) for s in snapshots]
-    )
-    print(render_dashboard(rollup, merged, None, now_s=elapsed))
+    print(render_dashboard(rollup_telemetry(snapshots), None, now_s=elapsed))
     print()
     lane = ", ".join(
         f"{sid}:{health.completed}" for sid, health in sorted(healths.items())
@@ -507,20 +503,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     if args.strict and worst == "page":
         print("telemetry: PAGE")
         return 1
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.telemetry import profile_pipeline
-
-    result = profile_pipeline(
-        duration_s=args.duration, n_particles=args.particles, seed=args.seed
-    )
-    print(result.format())
-    if args.folded_out:
-        with open(args.folded_out, "w", encoding="utf-8") as handle:
-            handle.write(result.profiler.folded() + "\n")
-        print(f"folded stacks written: {args.folded_out}")
     return 0
 
 
@@ -607,6 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="true marker concentration (cells/µL)")
     stats.add_argument("--events", type=int, default=30,
                        help="audit events to print (0 = all retained)")
+    stats.add_argument("--folded-out", type=str, default=None,
+                       help="write the span tree as folded stacks for "
+                            "flamegraph.pl/speedscope")
     stats.set_defaults(handler=_cmd_stats)
 
     keysize = subparsers.add_parser("keysize", help="Eq. 2 key-length calculator")
@@ -693,18 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--strict", action="store_true",
                      help="exit 1 if any SLO is in the page state")
     top.set_defaults(handler=_cmd_top)
-
-    profile = subparsers.add_parser(
-        "profile", help="stage-by-stage pipeline profile (flamegraph-ready)"
-    )
-    profile.add_argument("--duration", type=float, default=8.0,
-                         help="synthetic capture duration (s)")
-    profile.add_argument("--particles", type=int, default=60,
-                         help="bead transits in the capture")
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--folded-out", type=str, default=None,
-                         help="write folded stacks for flamegraph.pl/speedscope")
-    profile.set_defaults(handler=_cmd_profile)
 
     bench = subparsers.add_parser(
         "bench", help="run the benchmark trajectory; write BENCH_<area>.json"

@@ -28,6 +28,7 @@ from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro._util.errors import ConfigurationError, MalformedPayloadError
 from repro.dsp.peakdetect import PeakDetector, PeakReport
+from repro.dsp.windowed import WindowedPeakDetector
 from repro.guard.admission import DEFAULT_TRACE_POLICY, TraceAdmissionPolicy, admit_trace
 from repro.guard.freshness import FreshnessGuard, FreshnessToken
 from repro.hardware.acquisition import AcquiredTrace
@@ -285,17 +286,16 @@ class AnalysisServer:
         return reports
 
     def analyze_streaming(
-        self, trace: AcquiredTrace, chunk_s: float = 20.0, window_s: float = 30.0
+        self, trace: AcquiredTrace, chunk_s: float = 20.0
     ) -> PeakReport:
         """Analyse a long capture in streaming chunks.
 
-        Functionally equivalent to :meth:`analyze` (same detector, same
-        peaks) but bounded-memory: the §VII-B multi-hour captures never
-        need to be resident at once.  Accounting (history, timing)
-        matches the batch path.
+        Bit-identical to :meth:`analyze` for any chunk size — the exact
+        :class:`~repro.dsp.windowed.WindowedPeakDetector` carries the
+        detrend and peak state across chunks — but bounded-memory: the
+        §VII-B multi-hour captures never need to be resident at once.
+        Accounting (history, timing) matches the batch path.
         """
-        from repro.dsp.streaming import StreamingPeakDetector
-
         if self.admission is not None:
             admit_trace(
                 trace, self.admission, observer=self.observer, boundary="ingest"
@@ -304,11 +304,8 @@ class AnalysisServer:
             "cloud_analysis", samples=trace.n_samples, channels=trace.n_channels,
             mode="streaming",
         ) as span:
-            streaming = StreamingPeakDetector(
-                trace.sampling_rate_hz,
-                detector=self.detector,
-                window_s=window_s,
-                observer=self.observer,
+            streaming = WindowedPeakDetector(
+                trace.n_channels, trace.sampling_rate_hz, detector=self.detector
             )
             chunk = max(int(chunk_s * trace.sampling_rate_hz), 1)
             for offset in range(0, trace.n_samples, chunk):

@@ -42,7 +42,6 @@ from repro.dsp.fused import (
     partition_traces,
 )
 from repro.dsp.recording import CsvRecordingModel, compressed_size_bytes
-from repro.dsp.streaming import StreamingPeakDetector
 from repro.dsp.windowed import (
     ExactPeakStream,
     StreamingDetrender,
@@ -50,7 +49,6 @@ from repro.dsp.windowed import (
 )
 
 __all__ = [
-    "StreamingPeakDetector",
     "StreamingDetrender",
     "ExactPeakStream",
     "WindowedPeakDetector",

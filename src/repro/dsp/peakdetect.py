@@ -11,8 +11,7 @@ the authentication classifier consume.
 :meth:`PeakDetector.detect` and :meth:`PeakDetector.detect_batch` run
 on the fused columnar pass in :mod:`repro.dsp.fused`; the staged
 formulation is retained here (:meth:`PeakDetector._report_from_dips`)
-as the differential-test oracle (``tests/_dsp_oracle.py``) and for the
-stage profiler, which needs per-stage boundaries to time.
+as the differential-test oracle (``tests/_dsp_oracle.py``).
 """
 
 from dataclasses import dataclass

@@ -55,6 +55,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro._util.errors import ConfigurationError, ValidationError
 from repro._util.validation import check_positive
 from repro.dsp.detrend import (
     DetrendConfig,
@@ -90,7 +91,7 @@ class StreamingDetrender:
         config: DetrendConfig = DetrendConfig(),
     ) -> None:
         if n_channels < 1:
-            raise ValueError(f"n_channels must be >= 1, got {n_channels}")
+            raise ValidationError(f"n_channels must be >= 1, got {n_channels}")
         check_positive("sampling_rate_hz", sampling_rate_hz)
         self.n_channels = int(n_channels)
         self.sampling_rate_hz = float(sampling_rate_hz)
@@ -119,10 +120,10 @@ class StreamingDetrender:
     def feed(self, block: np.ndarray) -> np.ndarray:
         """Buffer raw columns; return newly finalized detrended columns."""
         if self._finished:
-            raise RuntimeError("StreamingDetrender already finished")
+            raise ConfigurationError("StreamingDetrender already finished")
         block = np.asarray(block, dtype=float)
         if block.ndim != 2 or block.shape[0] != self.n_channels:
-            raise ValueError(
+            raise ValidationError(
                 f"block must be ({self.n_channels}, k), got {block.shape}"
             )
         if block.shape[1] == 0:
@@ -176,7 +177,7 @@ class StreamingDetrender:
     def finish(self) -> np.ndarray:
         """Process the clamped tail windows; return remaining columns."""
         if self._finished:
-            raise RuntimeError("StreamingDetrender already finished")
+            raise ConfigurationError("StreamingDetrender already finished")
         self._finished = True
         n = self._seen
         if n == 0:
@@ -258,7 +259,7 @@ class ExactPeakStream:
         self.half_window = max(self.distance // 2, 1)
         self.channel = int(detection_channel)
         if not 0 <= self.channel < self.n_channels:
-            raise ValueError(
+            raise ConfigurationError(
                 f"detection_channel {detection_channel} out of range for "
                 f"{n_channels} channels"
             )
@@ -298,10 +299,10 @@ class ExactPeakStream:
     def feed(self, dips_block: np.ndarray) -> int:
         """Consume finalized dip columns; return newly completed peaks."""
         if self._finished:
-            raise RuntimeError("ExactPeakStream already finished")
+            raise ConfigurationError("ExactPeakStream already finished")
         block = np.asarray(dips_block, dtype=float)
         if block.ndim != 2 or block.shape[0] != self.n_channels:
-            raise ValueError(
+            raise ValidationError(
                 f"dips block must be ({self.n_channels}, k), got {block.shape}"
             )
         if block.shape[1] == 0:
@@ -322,7 +323,7 @@ class ExactPeakStream:
     def finish(self) -> PeakReport:
         """Finalize every open structure and assemble the report."""
         if self._finished:
-            raise RuntimeError("ExactPeakStream already finished")
+            raise ConfigurationError("ExactPeakStream already finished")
         self._finished = True
         n = self._n
         duration_s = n / self.sampling_rate_hz
@@ -633,7 +634,7 @@ class WindowedPeakDetector:
     ) -> None:
         self.detector = detector if detector is not None else PeakDetector()
         if self.detector.detection_channel >= n_channels:
-            raise ValueError(
+            raise ConfigurationError(
                 f"detection_channel {self.detector.detection_channel} out of "
                 f"range for {n_channels}-channel stream"
             )
@@ -664,10 +665,10 @@ class WindowedPeakDetector:
     def feed(self, chunk: np.ndarray) -> int:
         """Consume one chunk; return the number of newly final peaks."""
         if self._finished:
-            raise RuntimeError("WindowedPeakDetector already finished")
+            raise ConfigurationError("WindowedPeakDetector already finished")
         chunk = np.asarray(chunk, dtype=float)
         if chunk.ndim != 2 or chunk.shape[0] != self.n_channels:
-            raise ValueError(
+            raise ValidationError(
                 f"chunk must be ({self.n_channels}, k), got {chunk.shape}"
             )
         self.n_samples += chunk.shape[1]
@@ -679,7 +680,7 @@ class WindowedPeakDetector:
     def finish(self) -> PeakReport:
         """Flush the carry-over and return the full-trace report."""
         if self._finished:
-            raise RuntimeError("WindowedPeakDetector already finished")
+            raise ConfigurationError("WindowedPeakDetector already finished")
         self._finished = True
         columns = self._detrender.finish()
         if columns.shape[1]:

@@ -41,6 +41,7 @@ from repro.fleet.cluster import (
     ShardCrashedError,
     ShardHandle,
     ShardRequestError,
+    rollup_telemetry,
 )
 from repro.fleet.failover import FailoverReport, run_failover
 from repro.fleet.frontdoor import (
@@ -114,6 +115,7 @@ __all__ = [
     "encode_frame",
     "generate_arrivals",
     "replay",
+    "rollup_telemetry",
     "run_failover",
     "run_fleet",
     "shard_main",

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro._util.drill import DrillReport, InvariantResult, canonical_digest
 from repro._util.errors import AdmissionError, MedSenError
-from repro.fleet.cluster import FleetCluster, FleetTierConfig
+from repro.fleet.cluster import FleetCluster, FleetTierConfig, rollup_telemetry
 from repro.fleet.frontdoor import (
     AsyncFrontDoor,
     FleetRequestFailedError,
@@ -241,12 +241,8 @@ async def _run_phases(
                 detail=f"sum(shards)={shard_total}, frontdoor={door.completed}",
             )
         )
-        merged = cluster.merged_quantiles()
-        merged_count = (
-            merged.histogram("serve.e2e_s").count
-            if "serve.e2e_s" in merged.names()
-            else 0
-        )
+        merged = rollup_telemetry(cluster.telemetry())
+        merged_count = merged.histogram("serve.e2e_s").count
         report.invariants.append(
             InvariantResult(
                 name="merged_latency_sketch_counts_every_session",

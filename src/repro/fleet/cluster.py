@@ -25,7 +25,7 @@ Lifecycle is explicit and observable:
 
 The cluster never shares interpreter state with its shards — telemetry
 crosses back as lossless sketch state and is merged with
-:func:`~repro.telemetry.quantiles.merge_registries`.
+:func:`rollup_telemetry`.
 """
 
 import multiprocessing as mp
@@ -35,7 +35,7 @@ import tempfile
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro._util.errors import (
     ConfigurationError,
@@ -66,8 +66,8 @@ from repro.obs import (
     SHARD_RESTARTED,
     SHARD_SPAWNED,
 )
+from repro.obs.metrics import ExponentialHistogram, MetricsRegistry
 from repro.serving.scheduler import FleetConfig
-from repro.telemetry.quantiles import QuantileRegistry, merge_registries
 
 
 class ShardCrashedError(MedSenError):
@@ -82,6 +82,28 @@ class ShardRequestError(MedSenError):
         self.shard_id = shard_id
         self.error_type = error_type
         self.error_message = error_message
+
+
+def rollup_telemetry(snapshots: Sequence[ShardTelemetry]) -> MetricsRegistry:
+    """Fleet-wide roll-up of per-shard telemetry into one registry.
+
+    Counters are summed; histograms merge bucket by bucket, so the
+    fleet p99 is the true cross-shard p99 (to bucket resolution), never
+    an average of per-shard percentiles.  Gauges stay namespaced as
+    ``name[shard-NN]``: a gauge is a point-in-time reading, and summing
+    gauges across shards would fabricate a number no shard reported.
+    """
+    if not snapshots:
+        raise ConfigurationError("rollup_telemetry needs at least one shard")
+    fleet = MetricsRegistry()
+    for shard in snapshots:
+        for name, value in sorted(shard.counters.items()):
+            fleet.counter(name).inc(value)
+        for name, value in sorted(shard.gauges.items()):
+            fleet.gauge(f"{name}[{shard.shard_id}]").set(value)
+        for name, state in sorted(shard.quantiles.get("histograms", {}).items()):
+            fleet.histogram(name).merge_from(ExponentialHistogram.from_state(state))
+    return fleet
 
 
 @dataclass(frozen=True)
@@ -409,17 +431,6 @@ class FleetCluster:
             if handle.alive
         ]
         return [fut.result(timeout=timeout) for fut in futures]
-
-    def merged_quantiles(self, timeout: Optional[float] = None) -> QuantileRegistry:
-        """Fleet-wide latency distributions: per-shard sketches merged
-        bucket-by-bucket (never averaged percentiles)."""
-        registries = [
-            QuantileRegistry.from_state(shard.quantiles)
-            for shard in self.telemetry(timeout=timeout)
-        ]
-        if not registries:
-            return QuantileRegistry()
-        return merge_registries(registries)
 
     def store_digests(
         self, timeout: Optional[float] = None

@@ -338,19 +338,30 @@ class ShardHealth:
 
 @dataclass(frozen=True)
 class ShardTelemetry:
-    """One shard's metrics + quantile-sketch state for the roll-up.
+    """One shard's metrics for the fleet roll-up.
 
-    ``quantiles`` is the lossless
-    :meth:`~repro.telemetry.quantiles.QuantileRegistry.state` dump; the
-    parent rebuilds per-shard registries and merges them with
-    :func:`~repro.telemetry.quantiles.merge_registries`, so fleet p99s
-    come from summed bucket counts, never averaged percentiles.
+    ``quantiles["histograms"]`` maps each histogram name to its lossless
+    :meth:`~repro.obs.metrics.ExponentialHistogram.state` dump; the
+    parent merges them bucket by bucket with
+    :func:`~repro.fleet.cluster.rollup_telemetry`, so fleet p99s come
+    from summed bucket counts, never averaged percentiles.
     """
 
     shard_id: str
     counters: Dict[str, float] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
     quantiles: Dict[str, object] = field(default_factory=dict)
+
+    @classmethod
+    def from_registry(cls, shard_id: str, registry) -> "ShardTelemetry":
+        """Capture a registry's counters, gauges and histogram states."""
+        snapshot = registry.snapshot()
+        return cls(
+            shard_id=shard_id,
+            counters=dict(snapshot["counters"]),
+            gauges=dict(snapshot["gauges"]),
+            quantiles={"histograms": registry.histogram_states()},
+        )
 
 
 @dataclass(frozen=True)

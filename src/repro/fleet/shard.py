@@ -226,13 +226,7 @@ class _ShardRuntime:
         )
 
     def telemetry(self) -> ShardTelemetry:
-        snapshot = self.observer.metrics.snapshot()
-        return ShardTelemetry(
-            shard_id=self.spec.shard_id,
-            counters=dict(snapshot["counters"]),
-            gauges=dict(snapshot["gauges"]),
-            quantiles=self.observer.quantiles.state(),
-        )
+        return ShardTelemetry.from_registry(self.spec.shard_id, self.observer.metrics)
 
     # ------------------------------------------------------------------
     def handle_submit(self, msg_id: int, msg: SubmitRequest) -> None:

@@ -114,7 +114,10 @@ class Smartphone:
             )
         with self.observer.span("relay", service="phone") as relay_span:
             total_samples = trace.n_channels * trace.n_samples
-            payload = self.recording.encode(trace.voltages, trace.sampling_rate_hz)
+            with self.observer.span("encode", samples=total_samples):
+                payload = self.recording.encode(
+                    trace.voltages, trace.sampling_rate_hz
+                )
             raw_bytes = len(payload)
 
             if (

@@ -1,17 +1,16 @@
-"""Fleet telemetry: quantile sketches, SLOs, profiling, benchmarks.
+"""Fleet telemetry: SLOs, the dashboard, span-tree profiles, benchmarks.
 
 Builds on :mod:`repro.obs` (which stays dependency-free and
-behaviour-neutral) with the operator-facing layer:
+behaviour-neutral, and owns the one histogram model, the mergeable
+:class:`~repro.obs.metrics.ExponentialHistogram`) with the
+operator-facing layer:
 
-* :mod:`repro.telemetry.quantiles` — mergeable exponential-bucket
-  histograms with bounded quantile error, rolling windows, and a
-  cross-worker roll-up;
 * :mod:`repro.telemetry.slo` — declarative SLO rules with
   multi-window burn-rate alerting;
 * :mod:`repro.telemetry.dashboard` — the :class:`TelemetryObserver`
   drop-in and the pure-text ``repro top`` frame renderer;
-* :mod:`repro.telemetry.profiler` — deterministic stage profiler with
-  folded-stack (flamegraph) output and the pipeline profile driver;
+* :mod:`repro.telemetry.profiler` — folded-stack (flamegraph) output
+  from a recorded span tree;
 * :mod:`repro.telemetry.bench` — the ``BENCH_*.json`` benchmark
   trajectory runner and its CI regression gate.
 """
@@ -31,22 +30,8 @@ from repro.telemetry.dashboard import (
     TelemetryObserver,
     render_dashboard,
     render_observer,
-    rollup_quantiles,
 )
-from repro.telemetry.profiler import (
-    CPU_CLOCK,
-    PipelineProfile,
-    StageProfiler,
-    StageStat,
-    folded_from_tracer,
-    profile_pipeline,
-)
-from repro.telemetry.quantiles import (
-    ExponentialHistogram,
-    QuantileRegistry,
-    RollingHistogram,
-    merge_registries,
-)
+from repro.telemetry.profiler import folded_from_tracer
 from repro.telemetry.slo import (
     DEFAULT_RULES,
     LONG_WINDOW_S,
@@ -59,10 +44,6 @@ from repro.telemetry.slo import (
 )
 
 __all__ = [
-    "ExponentialHistogram",
-    "RollingHistogram",
-    "QuantileRegistry",
-    "merge_registries",
     "SloRule",
     "SloEngine",
     "SloStatus",
@@ -74,12 +55,6 @@ __all__ = [
     "TelemetryObserver",
     "render_dashboard",
     "render_observer",
-    "rollup_quantiles",
-    "StageProfiler",
-    "StageStat",
-    "PipelineProfile",
-    "CPU_CLOCK",
-    "profile_pipeline",
     "folded_from_tracer",
     "SCHEMA",
     "DEFAULT_AREAS",

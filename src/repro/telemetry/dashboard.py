@@ -2,17 +2,14 @@
 
 :class:`TelemetryObserver` is a drop-in
 :class:`~repro.obs.observer.Observer` that additionally routes every
-``observe()`` into an exponential quantile sketch
-(:class:`~repro.telemetry.quantiles.QuantileRegistry`) and through the
-:class:`~repro.telemetry.slo.SloEngine`'s latency hook.  Components
-instrumented against the plain observer API pick all of this up
-without change — the fleet scheduler, batcher, cloud server and
-authenticator never learn telemetry exists.
+``observe()`` through the :class:`~repro.telemetry.slo.SloEngine`'s
+latency hook.  Components instrumented against the plain observer API
+pick this up without change — the fleet scheduler, batcher, cloud
+server and authenticator never learn telemetry exists.
 
-:func:`render_dashboard` is a pure function from (metrics, quantiles,
-SLO engine, now) to a fixed-width text frame, so the ``repro top``
-output golden-files cleanly under a
-:class:`~repro.obs.clock.ManualClock`.
+:func:`render_dashboard` is a pure function from (metrics, SLO engine,
+now) to a fixed-width text frame, so the ``repro top`` output
+golden-files cleanly under a :class:`~repro.obs.clock.ManualClock`.
 """
 
 from typing import Any, List, Optional, Sequence
@@ -22,20 +19,16 @@ from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer
 from repro.obs.tracing import Tracer
-from repro.telemetry.quantiles import QuantileRegistry, merge_registries
 from repro.telemetry.slo import DEFAULT_RULES, SloEngine, SloRule
 
 WIDTH = 72
 
 
 class TelemetryObserver(Observer):
-    """An observer whose histograms also feed quantile sketches + SLOs.
+    """An observer whose histogram observations also feed the SLOs.
 
     Parameters
     ----------
-    quantiles:
-        Sketch registry; a fresh one per observer by default so
-        per-worker observers can be rolled up later.
     engine:
         SLO engine; built over ``rules`` and this observer's metrics
         registry when omitted.
@@ -49,33 +42,23 @@ class TelemetryObserver(Observer):
         metrics: Optional[MetricsRegistry] = None,
         events: Optional[EventLog] = None,
         clock: Optional[Clock] = None,
-        quantiles: Optional[QuantileRegistry] = None,
         engine: Optional[SloEngine] = None,
         rules: Sequence[SloRule] = DEFAULT_RULES,
     ) -> None:
         super().__init__(tracer=tracer, metrics=metrics, events=events, clock=clock)
-        self.quantiles = quantiles if quantiles is not None else QuantileRegistry()
         if engine is None:
             engine_clock = clock if clock is not None else self.tracer.clock
             engine = SloEngine(self.metrics, rules=rules, clock=engine_clock)
         self.engine = engine
 
     def observe(self, name: str, value: float) -> None:
-        """Record into the reservoir histogram, the sketch, and the SLOs."""
+        """Record into the registry histogram and the SLO latency hook."""
         super().observe(name, value)
-        self.quantiles.observe(name, value)
         self.engine.observe_hook(name, value)
 
     def tick(self, now_s: Optional[float] = None) -> None:
         """Snapshot SLO counters (delegates to the engine)."""
         self.engine.tick(now_s=now_s)
-
-
-def rollup_quantiles(
-    observers: Sequence[TelemetryObserver],
-) -> QuantileRegistry:
-    """Fleet-wide quantile roll-up across per-worker observers."""
-    return merge_registries([observer.quantiles for observer in observers])
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +77,6 @@ def _format_value(value: float) -> str:
 
 def render_dashboard(
     metrics: MetricsRegistry,
-    quantiles: QuantileRegistry,
     engine: Optional[SloEngine],
     now_s: float,
     width: int = WIDTH,
@@ -126,15 +108,15 @@ def render_dashboard(
         if len(rows) > max_rows:
             lines.append(f"... {len(rows) - max_rows} more")
 
-    quantile_summaries = quantiles.snapshot()
-    if quantile_summaries:
+    histograms = snapshot["histograms"]
+    if histograms:
         lines.append(_rule_line(width, "latency quantiles (exp-bucket sketch)"))
         header = (
             f"{'histogram':<26} {'count':>6} {'p50':>8} {'p95':>8} "
             f"{'p99':>8} {'max':>8}"
         )
         lines.append(header)
-        for name, summary in sorted(quantile_summaries.items()):
+        for name, summary in sorted(histograms.items()):
             lines.append(
                 f"{name:<26} {int(summary['count']):>6} "
                 f"{summary['p50']:>8.4f} {summary['p95']:>8.4f} "
@@ -150,6 +132,4 @@ def render_observer(
 ) -> str:
     """Render one telemetry observer's full state as a dashboard frame."""
     now = observer.engine.clock() if now_s is None else now_s
-    return render_dashboard(
-        observer.metrics, observer.quantiles, observer.engine, now, width=width
-    )
+    return render_dashboard(observer.metrics, observer.engine, now, width=width)

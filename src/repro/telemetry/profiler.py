@@ -1,169 +1,25 @@
-"""Deterministic stage profiler with folded-stack (flamegraph) output.
+"""Folded-stack (flamegraph) profiles from a recorded span tree.
 
-:class:`StageProfiler` times named stages on two injectable clocks —
-wall (monotonic) and CPU (``time.process_time`` by default) — and
-aggregates them by *call path*, so nested stages fold into
-``parent;child`` lines exactly the way ``flamegraph.pl`` and speedscope
-expect.  Under a :class:`~repro.obs.clock.ManualClock` pair the whole
-profile is a pure function of the clock cranks, which is what lets the
-tests golden-file it.
-
-:func:`profile_pipeline` drives the paper's processing chain through
-the profiler stage by stage — demodulate, detrend, threshold,
-classify, authenticate — on a fixed synthetic capture, answering
-"where does a diagnostic's compute go" with one command
-(``python -m repro profile``).  It deliberately mirrors
-:meth:`AcquisitionFrontEnd.acquire
-<repro.hardware.acquisition.AcquisitionFrontEnd.acquire>` and
-:meth:`PeakDetector.detect <repro.dsp.peakdetect.PeakDetector.detect>`
-internals instead of calling them whole, because those public entry
-points fuse the stages this profile exists to separate.
+Where a diagnostic's time goes (the paper's Fig 14 question) is read
+off the real code path: every instrumented component already opens
+named spans, so :func:`folded_from_tracer` turns a
+:class:`~repro.obs.tracing.Tracer`'s span tree into ``path <self-time>``
+lines, nested spans folding into ``parent;child`` paths exactly the way
+``flamegraph.pl`` and speedscope expect.  ``python -m repro stats
+--folded-out FILE`` writes one for an instrumented session.  Spans
+record wall time, so this is a wall-clock profile.
 """
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
-
-from repro._util.errors import ConfigurationError
-from repro.obs.clock import MONOTONIC_CLOCK, Clock
-
-#: Default CPU clock (process time: excludes sleeps and other processes).
-CPU_CLOCK: Clock = time.process_time
-
-
-@dataclass
-class StageStat:
-    """Aggregate timing of one call path."""
-
-    path: str
-    calls: int = 0
-    wall_s: float = 0.0
-    cpu_s: float = 0.0
-
-    @property
-    def name(self) -> str:
-        """Leaf stage name (last path segment)."""
-        return self.path.rsplit(";", 1)[-1]
-
-    @property
-    def depth(self) -> int:
-        """Nesting depth (0 for a root stage)."""
-        return self.path.count(";")
-
-
-class StageProfiler:
-    """Aggregating two-clock stage timer.
-
-    Use as::
-
-        profiler = StageProfiler()
-        with profiler.stage("analysis"):
-            with profiler.stage("detrend"):
-                ...
-
-    which records paths ``analysis`` and ``analysis;detrend``.  Not
-    thread-safe by design — a profile is one thread's story; profile
-    each worker separately and compare the folded outputs.
-    """
-
-    def __init__(
-        self, wall_clock: Clock = MONOTONIC_CLOCK, cpu_clock: Clock = CPU_CLOCK
-    ) -> None:
-        self.wall_clock = wall_clock
-        self.cpu_clock = cpu_clock
-        self._stats: Dict[str, StageStat] = {}
-        self._stack: List[str] = []
-
-    # ------------------------------------------------------------------
-    @contextmanager
-    def stage(self, name: str) -> Iterator[StageStat]:
-        """Time one stage; nests under any currently open stage."""
-        if not name or ";" in name:
-            raise ConfigurationError(
-                f"stage name must be non-empty and ';'-free, got {name!r}"
-            )
-        path = ";".join(self._stack + [name])
-        stat = self._stats.setdefault(path, StageStat(path))
-        self._stack.append(name)
-        wall0 = self.wall_clock()
-        cpu0 = self.cpu_clock()
-        try:
-            yield stat
-        finally:
-            stat.cpu_s += self.cpu_clock() - cpu0
-            stat.wall_s += self.wall_clock() - wall0
-            stat.calls += 1
-            self._stack.pop()
-
-    # ------------------------------------------------------------------
-    @property
-    def stats(self) -> List[StageStat]:
-        """Every recorded path, sorted by path."""
-        return [self._stats[path] for path in sorted(self._stats)]
-
-    def total_wall_s(self) -> float:
-        """Wall time across root stages only (children are contained)."""
-        return sum(s.wall_s for s in self._stats.values() if s.depth == 0)
-
-    def self_wall_s(self, path: str) -> float:
-        """Wall time of ``path`` minus its direct children (self time)."""
-        stat = self._stats.get(path)
-        if stat is None:
-            raise ConfigurationError(f"unknown stage path {path!r}")
-        prefix = path + ";"
-        children = sum(
-            s.wall_s
-            for p, s in self._stats.items()
-            if p.startswith(prefix) and ";" not in p[len(prefix):]
-        )
-        return max(0.0, stat.wall_s - children)
-
-    def folded(self, scale: float = 1e6) -> str:
-        """Folded-stack lines: ``path <self-time>`` per stage.
-
-        ``scale`` converts seconds to the integer sample unit
-        (default microseconds).  Feed straight to ``flamegraph.pl`` or
-        paste into speedscope.
-        """
-        lines = []
-        for path in sorted(self._stats):
-            weight = int(round(self.self_wall_s(path) * scale))
-            lines.append(f"{path} {weight}")
-        return "\n".join(lines)
-
-    def report(self) -> Dict[str, Dict[str, float]]:
-        """Plain-dict dump: path -> calls / wall_s / cpu_s / self_wall_s."""
-        return {
-            path: {
-                "calls": stat.calls,
-                "wall_s": stat.wall_s,
-                "cpu_s": stat.cpu_s,
-                "self_wall_s": self.self_wall_s(path),
-            }
-            for path, stat in sorted(self._stats.items())
-        }
-
-    def format(self) -> str:
-        """Indented table for terminal output."""
-        lines = [f"{'stage':<38} {'calls':>5} {'wall ms':>9} {'cpu ms':>9}"]
-        lines.append("-" * len(lines[0]))
-        for stat in self.stats:
-            label = "  " * stat.depth + stat.name
-            lines.append(
-                f"{label:<38} {stat.calls:>5} "
-                f"{stat.wall_s * 1e3:>9.2f} {stat.cpu_s * 1e3:>9.2f}"
-            )
-        return "\n".join(lines)
+from typing import Dict
 
 
 def folded_from_tracer(tracer, scale: float = 1e6) -> str:
     """Folded-stack lines from a live :class:`~repro.obs.tracing.Tracer`.
 
-    Turns a recorded span tree into the same flamegraph format the
-    stage profiler emits (self time per path), so any instrumented run
-    — not just :func:`profile_pipeline` — can be rendered as a flame
-    graph.
+    One line per call path carrying its self time (span duration minus
+    its children's), summed over repeated calls, as an integer count
+    of ``1 / scale`` seconds (default microseconds).  The self times of
+    a tree add back up to its root span's duration.
     """
     weights: Dict[str, float] = {}
 
@@ -179,166 +35,3 @@ def folded_from_tracer(tracer, scale: float = 1e6) -> str:
     for root in tracer.roots:
         visit(root, "")
     return "\n".join(f"{path} {int(round(s * scale))}" for path, s in sorted(weights.items()))
-
-
-# ---------------------------------------------------------------------------
-# The pipeline profile driver
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class PipelineProfile:
-    """Result of one :func:`profile_pipeline` run."""
-
-    profiler: StageProfiler
-    n_events: int
-    n_peaks: int
-    n_classified: int
-    auth_accepted: bool
-
-    def format(self) -> str:
-        head = (
-            f"pipeline profile: {self.n_events} events -> {self.n_peaks} peaks "
-            f"-> {self.n_classified} classified, auth "
-            f"{'accepted' if self.auth_accepted else 'rejected'}"
-        )
-        return head + "\n" + self.profiler.format()
-
-
-def profile_pipeline(
-    duration_s: float = 8.0,
-    n_particles: int = 60,
-    seed: int = 0,
-    profiler: Optional[StageProfiler] = None,
-) -> PipelineProfile:
-    """Profile the processing chain stage by stage on a fixed capture.
-
-    Synthesises ``n_particles`` password-bead transits through a
-    one-epoch plan (setup is *not* profiled — it is the experiment rig,
-    not the pipeline), then times the five stages the paper's
-    processing budget is spent on:
-
-    ``demodulate``
-        lock-in demodulate/filter/decimate of the noisy internal-rate
-        signal to the recorded trace;
-    ``detrend``
-        piecewise polynomial baseline removal;
-    ``threshold``
-        dip thresholding and peak extraction;
-    ``classify``
-        per-peak feature extraction and Mahalanobis classification;
-    ``authenticate``
-        identifier recovery and constant-time registry matching.
-    """
-    import numpy as np
-
-    from repro.auth.authenticator import ServerAuthenticator
-    from repro.auth.enrollment import enroll_classifier
-    from repro.core.config import MedSenConfig
-    from repro.crypto.encryptor import SignalEncryptor
-    from repro.dsp.features import FeatureExtractor
-    from repro.dsp.peakdetect import PeakDetector
-    from repro.dsp.detrend import piecewise_polynomial_detrend_rows
-    from repro.experiments import FIGURE_CARRIERS_HZ, single_key_plan
-    from repro.hardware.acquisition import AcquiredTrace
-    from repro.microfluidics.channel import MicrofluidicChannel
-    from repro.microfluidics.transport import ParticleArrival
-    from repro.particles.sample import Particle
-    from repro.physics.lockin import LockInAmplifier
-    from repro.physics.noise import NoiseModel
-    from repro.physics.peaks import synthesize_pulse_train
-    from repro._util.errors import AuthenticationError, MedSenError
-    from repro._util.rng import ensure_rng
-
-    if duration_s <= 0:
-        raise ConfigurationError(f"duration_s must be > 0, got {duration_s}")
-    if n_particles < 1:
-        raise ConfigurationError(f"n_particles must be >= 1, got {n_particles}")
-    prof = profiler if profiler is not None else StageProfiler()
-    rng = ensure_rng(seed)
-
-    # --- setup (unprofiled): synthesise one capture of bead transits ---
-    config = MedSenConfig()
-    bead_type = config.alphabet.bead_types[0]
-    plan = single_key_plan(active={1, 5, 9})
-    channel = MicrofluidicChannel()
-    velocity = channel.velocity_for_flow_rate(
-        plan.flow_table.rate_for_level(plan.schedule.epochs[0].flow_level)
-    )
-    margin = min(1.0, duration_s / 4.0)
-    arrival_times = np.linspace(margin, duration_s - margin, n_particles)
-    arrivals = [
-        ParticleArrival(float(t), Particle(bead_type, bead_type.diameter_m), velocity)
-        for t in arrival_times
-    ]
-    encryptor = SignalEncryptor(carrier_frequencies_hz=FIGURE_CARRIERS_HZ)
-    events = encryptor.events_for_arrivals(arrivals, plan)
-    lockin = LockInAmplifier(carrier_frequencies_hz=FIGURE_CARRIERS_HZ)
-    noise = NoiseModel()
-    fractional = synthesize_pulse_train(
-        events,
-        n_channels=lockin.n_channels,
-        sampling_rate_hz=lockin.internal_rate_hz,
-        duration_s=duration_s,
-    )
-    noisy = noise.apply(fractional, lockin.internal_rate_hz, rng=rng)
-    detector = PeakDetector()
-    features = FeatureExtractor(carrier_frequencies_hz=FIGURE_CARRIERS_HZ)
-    classifier = enroll_classifier(
-        list(config.alphabet.bead_types),
-        feature_frequencies_hz=features.feature_frequencies_hz,
-        circuit=config.circuit,
-        rng=rng,
-    )
-    authenticator = ServerAuthenticator(config.alphabet)
-
-    # --- the profiled chain -------------------------------------------
-    with prof.stage("pipeline"):
-        with prof.stage("demodulate"):
-            voltages = lockin.demodulate(noisy)
-        trace = AcquiredTrace(
-            voltages,
-            sampling_rate_hz=lockin.output_rate_hz,
-            carrier_frequencies_hz=lockin.carrier_frequencies_hz,
-        )
-        with prof.stage("detrend"):
-            dips = 1.0 - piecewise_polynomial_detrend_rows(
-                trace.voltages, trace.sampling_rate_hz, detector.detrend
-            )
-        with prof.stage("threshold"):
-            report = detector._report_from_dips(dips, trace.sampling_rate_hz)
-        with prof.stage("classify"):
-            if report.peaks:
-                matrix = features.feature_matrix(report)
-                classification = classifier.classify(matrix)
-                counts = ServerAuthenticator.counts_from_classification(
-                    classification
-                )
-                n_classified = int(sum(round(c) for c in counts.values()))
-            else:
-                counts = {}
-                n_classified = 0
-        with prof.stage("authenticate"):
-            flow_rate_ul_min = plan.flow_table.rate_for_level(
-                plan.schedule.epochs[0].flow_level
-            )
-            pumped_volume_ul = flow_rate_ul_min * duration_s / 60.0
-            bead_counts = {
-                bead.name: counts.get(bead.name, 0.0)
-                for bead in config.alphabet.bead_types
-            }
-            try:
-                recovered, _ = authenticator.recover_identifier(
-                    bead_counts, pumped_volume_ul
-                )
-                authenticator.register("profiled-user", recovered)
-                decision = authenticator.authenticate(bead_counts, pumped_volume_ul)
-                accepted = decision.accepted
-            except (AuthenticationError, MedSenError):
-                accepted = False
-
-    return PipelineProfile(
-        profiler=prof,
-        n_events=len(events),
-        n_peaks=report.count,
-        n_classified=n_classified,
-        auth_accepted=accepted,
-    )

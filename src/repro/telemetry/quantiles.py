@@ -1,432 +1,9 @@
-"""Exponential-bucket quantile histograms with mergeable state.
+"""Compatibility home of the quantile sketch.
 
-The :mod:`repro.obs` reservoir histogram answers "roughly where is
-p95" from a bounded sample; fleet SLOs need something stronger — a
-sketch whose quantile error is *bounded by construction* and whose
-state can be **merged** across workers for a fleet-wide roll-up.
-:class:`ExponentialHistogram` provides both: buckets grow
-geometrically by ``growth``, so any quantile estimate is within one
-bucket (a relative error of ``growth - 1``) of the true value, and two
-sketches over disjoint observation streams merge by adding bucket
-counts.
-
-:class:`RollingHistogram` windows the sketch over time: observations
-land in the current sub-window slot and summaries merge only the slots
-inside the window, so "p99 over the last five minutes" forgets old
-load spikes.  Time comes from an injectable clock, never from the wall
-directly, keeping rolling summaries replayable under
-:class:`~repro.obs.clock.ManualClock`.
-
-Everything here is synchronised: fleet workers share one sketch, and a
-snapshot taken mid-``observe`` from another thread is internally
-consistent (count, sum and bucket totals agree — no torn reads).
+The mergeable :class:`~repro.obs.metrics.ExponentialHistogram` is the
+one histogram model and lives in :mod:`repro.obs.metrics`.
 """
 
-import math
-import threading
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro._util.errors import ConfigurationError
-from repro.obs.clock import MONOTONIC_CLOCK, Clock
-
-#: Default geometric bucket growth: quantiles are within ~15 % of truth.
-DEFAULT_GROWTH = 1.15
-
-#: Observations at or below this magnitude land in the zero bucket.
-DEFAULT_MIN_VALUE = 1e-9
-
-
-class ExponentialHistogram:
-    """A mergeable quantile sketch over geometric buckets.
-
-    Parameters
-    ----------
-    name:
-        Instrument name (``serve.e2e_s`` style dotted path).
-    growth:
-        Bucket boundary ratio; bounds the relative quantile error at
-        ``growth - 1``.  Must be > 1.
-    min_value:
-        Magnitude below which observations count into the zero bucket
-        (negative observations are refused — every instrumented
-        quantity here is a duration, size or count).
-    """
-
-    __slots__ = (
-        "name", "growth", "min_value", "_log_growth", "_buckets",
-        "_zero_count", "_count", "_sum", "_min", "_max", "_lock",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        growth: float = DEFAULT_GROWTH,
-        min_value: float = DEFAULT_MIN_VALUE,
-    ) -> None:
-        if growth <= 1.0:
-            raise ConfigurationError(f"growth must be > 1, got {growth}")
-        if min_value <= 0.0:
-            raise ConfigurationError(f"min_value must be > 0, got {min_value}")
-        self.name = name
-        self.growth = float(growth)
-        self.min_value = float(min_value)
-        self._log_growth = math.log(self.growth)
-        self._buckets: Dict[int, int] = {}
-        self._zero_count = 0
-        self._count = 0
-        self._sum = 0.0
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    def _index_for(self, value: float) -> int:
-        """Bucket index of ``value``; bucket ``i`` spans
-        ``[min_value * growth**i, min_value * growth**(i+1))``."""
-        return int(math.floor(math.log(value / self.min_value) / self._log_growth))
-
-    def _upper_bound(self, index: int) -> float:
-        return self.min_value * self.growth ** (index + 1)
-
-    # ------------------------------------------------------------------
-    def observe(self, value: float) -> None:
-        """Add one observation (must be >= 0)."""
-        value = float(value)
-        if value < 0.0:
-            raise ConfigurationError(
-                f"histogram {self.name!r} observations must be >= 0, got {value}"
-            )
-        with self._lock:
-            self._count += 1
-            self._sum += value
-            self._min = value if self._min is None else min(self._min, value)
-            self._max = value if self._max is None else max(self._max, value)
-            if value <= self.min_value:
-                self._zero_count += 1
-            else:
-                index = self._index_for(value)
-                self._buckets[index] = self._buckets.get(index, 0) + 1
-
-    # ------------------------------------------------------------------
-    @property
-    def count(self) -> int:
-        """Total observations."""
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        """Exact sum of observations."""
-        return self._sum
-
-    @property
-    def mean(self) -> float:
-        """Exact mean (0.0 when empty)."""
-        return self._sum / self._count if self._count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Quantile estimate, ``q`` in [0, 100].
-
-        Walks the buckets in order until the target rank is covered and
-        returns that bucket's upper bound, clamped to the exact
-        min/max; relative error is bounded by ``growth - 1``.
-        """
-        if not 0.0 <= q <= 100.0:
-            raise ConfigurationError("percentile q must be within [0, 100]")
-        with self._lock:
-            return self._percentile_locked(q)
-
-    def _percentile_locked(self, q: float) -> float:
-        if self._count == 0:
-            return 0.0
-        assert self._min is not None and self._max is not None
-        rank = q / 100.0 * self._count
-        seen = self._zero_count
-        if seen >= rank:
-            return self._min
-        for index in sorted(self._buckets):
-            seen += self._buckets[index]
-            if seen >= rank:
-                estimate = self._upper_bound(index)
-                return max(self._min, min(self._max, estimate))
-        return self._max
-
-    def summary(self) -> Dict[str, float]:
-        """count / mean / min / p50 / p95 / p99 / max, one lock hold."""
-        with self._lock:
-            low = self._min if self._min is not None else 0.0
-            high = self._max if self._max is not None else 0.0
-            return {
-                "count": self._count,
-                "mean": self._sum / self._count if self._count else 0.0,
-                "min": low,
-                "p50": self._percentile_locked(50.0),
-                "p95": self._percentile_locked(95.0),
-                "p99": self._percentile_locked(99.0),
-                "max": high,
-            }
-
-    # ------------------------------------------------------------------
-    def merge_from(self, other: "ExponentialHistogram") -> None:
-        """Fold ``other``'s state into this sketch (fleet roll-up).
-
-        Requires matching bucket geometry — merging differently shaped
-        sketches would silently misplace counts.
-        """
-        if (other.growth, other.min_value) != (self.growth, self.min_value):
-            raise ConfigurationError(
-                f"cannot merge {other.name!r} into {self.name!r}: "
-                "bucket geometry differs"
-            )
-        # Lock ordering by id() prevents a deadlock if two threads
-        # merge the pair in opposite directions.
-        first, second = sorted((self, other), key=id)
-        with first._lock, second._lock:
-            self._count += other._count
-            self._sum += other._sum
-            self._zero_count += other._zero_count
-            for index, n in other._buckets.items():
-                self._buckets[index] = self._buckets.get(index, 0) + n
-            if other._min is not None:
-                self._min = (
-                    other._min if self._min is None else min(self._min, other._min)
-                )
-            if other._max is not None:
-                self._max = (
-                    other._max if self._max is None else max(self._max, other._max)
-                )
-
-    def copy(self) -> "ExponentialHistogram":
-        """An independent snapshot of this sketch's state."""
-        clone = ExponentialHistogram(
-            self.name, growth=self.growth, min_value=self.min_value
-        )
-        with self._lock:
-            clone._buckets = dict(self._buckets)
-            clone._zero_count = self._zero_count
-            clone._count = self._count
-            clone._sum = self._sum
-            clone._min = self._min
-            clone._max = self._max
-        return clone
-
-    # ------------------------------------------------------------------
-    # Wire state (cross-process roll-up)
-    # ------------------------------------------------------------------
-    def state(self) -> Dict[str, object]:
-        """Plain-dict dump of the full sketch state.
-
-        Unlike :meth:`summary` (which keeps only derived quantiles),
-        the state is *lossless*: a shard process ships it over the
-        message transport and :meth:`from_state` rebuilds a sketch that
-        merges exactly as the original would — the cross-shard p99 is
-        computed from real bucket counts, never from per-shard
-        percentiles.
-        """
-        with self._lock:
-            return {
-                "name": self.name,
-                "growth": self.growth,
-                "min_value": self.min_value,
-                "buckets": dict(self._buckets),
-                "zero_count": self._zero_count,
-                "count": self._count,
-                "sum": self._sum,
-                "min": self._min,
-                "max": self._max,
-            }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "ExponentialHistogram":
-        """Rebuild a sketch from :meth:`state` output (typed refusal)."""
-        try:
-            sketch = cls(
-                str(state["name"]),
-                growth=float(state["growth"]),  # type: ignore[arg-type]
-                min_value=float(state["min_value"]),  # type: ignore[arg-type]
-            )
-            sketch._buckets = {
-                int(index): int(n)
-                for index, n in dict(state["buckets"]).items()  # type: ignore[call-overload]
-            }
-            sketch._zero_count = int(state["zero_count"])  # type: ignore[arg-type]
-            sketch._count = int(state["count"])  # type: ignore[arg-type]
-            sketch._sum = float(state["sum"])  # type: ignore[arg-type]
-            sketch._min = None if state["min"] is None else float(state["min"])  # type: ignore[arg-type]
-            sketch._max = None if state["max"] is None else float(state["max"])  # type: ignore[arg-type]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed histogram state: {exc}") from exc
-        return sketch
-
-
-class RollingHistogram:
-    """An :class:`ExponentialHistogram` windowed over recent time.
-
-    Keeps ``n_slots`` sub-window sketches covering ``window_s`` seconds
-    in total; an observation lands in the slot for ``clock()`` and
-    slots older than the window are recycled lazily.  ``summary()``
-    merges only live slots, so percentiles cover *recent* behaviour.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        window_s: float = 300.0,
-        n_slots: int = 6,
-        growth: float = DEFAULT_GROWTH,
-        min_value: float = DEFAULT_MIN_VALUE,
-        clock: Clock = MONOTONIC_CLOCK,
-    ) -> None:
-        if window_s <= 0:
-            raise ConfigurationError(f"window_s must be > 0, got {window_s}")
-        if n_slots < 1:
-            raise ConfigurationError(f"n_slots must be >= 1, got {n_slots}")
-        self.name = name
-        self.window_s = float(window_s)
-        self.n_slots = int(n_slots)
-        self.slot_s = self.window_s / self.n_slots
-        self.growth = float(growth)
-        self.min_value = float(min_value)
-        self.clock = clock
-        #: slot ring: (slot epoch, sketch); epoch = floor(now / slot_s).
-        self._slots: List[Optional[Tuple[int, ExponentialHistogram]]] = [
-            None
-        ] * self.n_slots
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    def _sketch_for_now(self, now_s: float) -> ExponentialHistogram:
-        epoch = int(math.floor(now_s / self.slot_s))
-        position = epoch % self.n_slots
-        slot = self._slots[position]
-        if slot is None or slot[0] != epoch:
-            sketch = ExponentialHistogram(
-                self.name, growth=self.growth, min_value=self.min_value
-            )
-            self._slots[position] = (epoch, sketch)
-            return sketch
-        return slot[1]
-
-    def observe(self, value: float, now_s: Optional[float] = None) -> None:
-        """Record ``value`` into the current sub-window."""
-        now = self.clock() if now_s is None else float(now_s)
-        with self._lock:
-            sketch = self._sketch_for_now(now)
-        sketch.observe(value)
-
-    def merged(self, now_s: Optional[float] = None) -> ExponentialHistogram:
-        """One sketch merging every slot still inside the window."""
-        now = self.clock() if now_s is None else float(now_s)
-        current_epoch = int(math.floor(now / self.slot_s))
-        merged = ExponentialHistogram(
-            self.name, growth=self.growth, min_value=self.min_value
-        )
-        with self._lock:
-            live = [
-                sketch
-                for slot in self._slots
-                if slot is not None
-                for epoch, sketch in (slot,)
-                if current_epoch - epoch < self.n_slots
-            ]
-        for sketch in live:
-            merged.merge_from(sketch)
-        return merged
-
-    def summary(self, now_s: Optional[float] = None) -> Dict[str, float]:
-        """Windowed count / mean / min / p50 / p95 / p99 / max."""
-        return self.merged(now_s).summary()
-
-
-class QuantileRegistry:
-    """Named :class:`ExponentialHistogram` instruments, created on use.
-
-    The telemetry analogue of
-    :class:`~repro.obs.metrics.MetricsRegistry`; sketches share bucket
-    geometry so any two registries (one per fleet worker, say) can be
-    rolled up with :func:`merge_registries`.
-    """
-
-    def __init__(
-        self, growth: float = DEFAULT_GROWTH, min_value: float = DEFAULT_MIN_VALUE
-    ) -> None:
-        self.growth = float(growth)
-        self.min_value = float(min_value)
-        self._histograms: Dict[str, ExponentialHistogram] = {}
-        self._lock = threading.Lock()
-
-    def histogram(self, name: str) -> ExponentialHistogram:
-        """Get or create the sketch ``name``."""
-        with self._lock:
-            sketch = self._histograms.get(name)
-            if sketch is None:
-                sketch = ExponentialHistogram(
-                    name, growth=self.growth, min_value=self.min_value
-                )
-                self._histograms[name] = sketch
-            return sketch
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one observation into sketch ``name``."""
-        self.histogram(name).observe(value)
-
-    def names(self) -> Sequence[str]:
-        """All sketch names, sorted."""
-        with self._lock:
-            return sorted(self._histograms)
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Summaries of every sketch."""
-        with self._lock:
-            items = sorted(self._histograms.items())
-        return {name: sketch.summary() for name, sketch in items}
-
-    def state(self) -> Dict[str, object]:
-        """Lossless plain-dict dump of every sketch (wire-friendly)."""
-        with self._lock:
-            items = sorted(self._histograms.items())
-        return {
-            "growth": self.growth,
-            "min_value": self.min_value,
-            "histograms": {name: sketch.state() for name, sketch in items},
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "QuantileRegistry":
-        """Rebuild a registry from :meth:`state` output.
-
-        The inverse of :meth:`state`; a rebuilt registry merges through
-        :func:`merge_registries` exactly as the in-process original
-        would, which is how per-shard telemetry crosses the process
-        boundary for the fleet-wide roll-up.
-        """
-        try:
-            registry = cls(
-                growth=float(state["growth"]),  # type: ignore[arg-type]
-                min_value=float(state["min_value"]),  # type: ignore[arg-type]
-            )
-            histograms = dict(state["histograms"])  # type: ignore[call-overload]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed registry state: {exc}") from exc
-        for name, sketch_state in histograms.items():
-            registry._histograms[str(name)] = ExponentialHistogram.from_state(
-                sketch_state
-            )
-        return registry
-
-
-def merge_registries(registries: Sequence[QuantileRegistry]) -> QuantileRegistry:
-    """Fleet-wide roll-up: merge per-worker registries into one.
-
-    Sketch for sketch, bucket counts add; the merged p99 is the true
-    cross-worker p99 (to bucket resolution), not an average of
-    per-worker percentiles — averaging percentiles is the classic
-    roll-up mistake this exists to avoid.
-    """
-    if not registries:
-        raise ConfigurationError("merge_registries needs at least one registry")
-    first = registries[0]
-    merged = QuantileRegistry(growth=first.growth, min_value=first.min_value)
-    for registry in registries:
-        for name in registry.names():
-            merged.histogram(name).merge_from(registry.histogram(name))
-    return merged
+# Kept importable from here because the end-to-end benchmark
+# (benchmarks/e2e/workloads.py) rebuilds shard sketches with it.
+from repro.obs.metrics import ExponentialHistogram  # noqa: F401

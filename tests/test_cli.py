@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -15,6 +17,30 @@ class TestParser:
         for command in ("demo", "keysize", "attacks", "selftest", "alphabet"):
             args = parser.parse_args([command])
             assert callable(args.handler)
+
+    def test_profile_subcommand_removed(self):
+        # Profiles come from the real span tree: ``stats --folded-out``.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["profile"])
+
+
+class TestStats:
+    def test_folded_out_self_times_sum_to_root(self, tmp_path, capsys):
+        path = tmp_path / "session.folded"
+        assert main(["stats", "--seed", "7", "--folded-out", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"folded stacks written: {path}" in out
+        weights = {}
+        for line in path.read_text().splitlines():
+            stack, weight = line.rsplit(" ", 1)
+            weights[stack] = int(weight)
+        assert "session;decrypt;signal_decrypt;template_match" in weights
+        # Root spans are the unindented span-tree lines ("name  1.234 ms").
+        tree = out.split("=== span tree ===\n", 1)[1].split("\n\n", 1)[0]
+        roots = [re.match(r"(\S+)\s+([\d.]+) ms", line) for line in tree.splitlines()]
+        root_us = sum(float(root.group(2)) * 1e3 for root in roots if root)
+        # Each folded weight and each printed duration rounds to 1 µs.
+        assert abs(sum(weights.values()) - root_us) <= len(weights) + 1
 
 
 class TestKeysize:

@@ -1,13 +1,19 @@
-"""Streaming peak detection: equivalence with batch processing."""
+"""Streaming peak detection with ``WindowedPeakDetector``: equivalence
+with batch processing on long captures, and the detector's lifecycle.
+
+``tests/test_stream_exact.py`` drives adversarial chunk splits; this
+file covers the §VII-B long-capture shape and the typed refusals.
+"""
 
 import numpy as np
 import pytest
 
-from repro._util.errors import ConfigurationError
+from repro._util.errors import ConfigurationError, ValidationError
 from repro.dsp.peakdetect import PeakDetector
-from repro.dsp.streaming import StreamingPeakDetector
+from repro.dsp.windowed import WindowedPeakDetector
 from repro.physics.noise import NoiseModel
 from repro.physics.peaks import PulseEvent, synthesize_pulse_train
+from repro.stream import report_digest
 
 FS = 450.0
 
@@ -22,77 +28,71 @@ def make_trace(duration_s=120.0, spacing_s=2.0, seed=0):
     return NoiseModel(white_sigma=1e-4).apply(trace, FS, rng=seed), len(centers)
 
 
+def stream(trace, chunk):
+    """Feed ``trace`` in ``chunk``-sample pieces; return the report."""
+    windowed = WindowedPeakDetector(trace.shape[0], FS)
+    for start in range(0, trace.shape[1], chunk):
+        windowed.feed(trace[:, start : start + chunk])
+    return windowed.finish()
+
+
 class TestEquivalence:
     def test_matches_batch_detection(self):
         trace, n_true = make_trace()
         batch = PeakDetector().detect(trace, FS)
-
-        streaming = StreamingPeakDetector(FS, window_s=30.0, guard_s=1.0)
-        chunk = int(7.3 * FS)  # awkward chunk size on purpose
-        for start in range(0, trace.shape[1], chunk):
-            streaming.feed(trace[:, start : start + chunk])
-        report = streaming.finish()
-
+        report = stream(trace, int(7.3 * FS))  # awkward chunk size on purpose
         assert report.count == batch.count == n_true
-        assert np.allclose(report.times(), batch.times(), atol=2 / FS)
+        assert report_digest(report) == report_digest(batch)
 
     def test_chunk_size_invariance(self):
         trace, n_true = make_trace(duration_s=90.0)
-        counts = []
-        for chunk_s in (1.0, 5.0, 33.0, 90.0):
-            streaming = StreamingPeakDetector(FS, window_s=30.0)
-            chunk = int(chunk_s * FS)
-            for start in range(0, trace.shape[1], chunk):
-                streaming.feed(trace[:, start : start + chunk])
-            counts.append(streaming.finish().count)
-        assert len(set(counts)) == 1
-        assert counts[0] == n_true
+        reports = [stream(trace, int(chunk_s * FS)) for chunk_s in (1.0, 5.0, 33.0, 90.0)]
+        assert len({report_digest(report) for report in reports}) == 1
+        assert reports[0].count == n_true
 
     def test_peaks_emitted_incrementally(self):
         trace, _ = make_trace(duration_s=120.0)
-        streaming = StreamingPeakDetector(FS, window_s=30.0)
+        windowed = WindowedPeakDetector(1, FS)
         half = trace.shape[1] // 2
-        early = streaming.feed(trace[:, :half])
-        assert len(early) > 0  # peaks surface before the stream ends
-        streaming.feed(trace[:, half:])
-        report = streaming.finish()
-        assert report.count >= len(early)
+        early = windowed.feed(trace[:, :half])
+        assert early > 0  # peaks surface before the stream ends
+        windowed.feed(trace[:, half:])
+        assert windowed.finish().count >= early
 
     def test_duration_accounted(self):
         trace, _ = make_trace(duration_s=61.5)
-        streaming = StreamingPeakDetector(FS)
-        streaming.feed(trace)
-        report = streaming.finish()
-        assert report.duration_s == pytest.approx(61.5, abs=0.01)
+        windowed = WindowedPeakDetector(1, FS)
+        windowed.feed(trace)
+        assert windowed.finish().duration_s == pytest.approx(61.5, abs=0.01)
 
 
 class TestLifecycle:
     def test_feed_after_finish_rejected(self):
-        streaming = StreamingPeakDetector(FS)
-        streaming.feed(np.ones((1, 100)))
-        streaming.finish()
+        windowed = WindowedPeakDetector(1, FS)
+        windowed.feed(np.ones((1, 100)))
+        windowed.finish()
         with pytest.raises(ConfigurationError):
-            streaming.feed(np.ones((1, 100)))
+            windowed.feed(np.ones((1, 100)))
         with pytest.raises(ConfigurationError):
-            streaming.finish()
+            windowed.finish()
 
     def test_channel_change_rejected(self):
-        streaming = StreamingPeakDetector(FS)
-        streaming.feed(np.ones((2, 100)))
-        with pytest.raises(ConfigurationError):
-            streaming.feed(np.ones((3, 100)))
+        windowed = WindowedPeakDetector(2, FS)
+        windowed.feed(np.ones((2, 100)))
+        with pytest.raises(ValidationError):
+            windowed.feed(np.ones((3, 100)))
 
     def test_one_dimensional_chunk_rejected(self):
-        streaming = StreamingPeakDetector(FS)
-        with pytest.raises(ConfigurationError):
-            streaming.feed(np.ones(100))
+        windowed = WindowedPeakDetector(1, FS)
+        with pytest.raises(ValidationError):
+            windowed.feed(np.ones(100))
 
     def test_empty_stream(self):
-        streaming = StreamingPeakDetector(FS)
-        report = streaming.finish()
+        report = WindowedPeakDetector(1, FS).finish()
         assert report.count == 0
         assert report.duration_s == 0.0
 
     def test_invalid_configuration(self):
+        # The detection channel must exist in the stream.
         with pytest.raises(ConfigurationError):
-            StreamingPeakDetector(FS, window_s=10.0, guard_s=6.0)
+            WindowedPeakDetector(1, FS, detector=PeakDetector(detection_channel=1))

@@ -7,10 +7,20 @@ roll-up, and garbage-frame containment; the lifecycle tests spawn
 session-free clusters, which is cheap.
 """
 
+import asyncio
+
 import pytest
 
 from repro._util.errors import ConfigurationError
-from repro.fleet import FleetCluster, FleetTierConfig, run_fleet
+from repro.core.config import MedSenConfig
+from repro.fleet import (
+    AsyncFrontDoor,
+    FleetCluster,
+    FleetTierConfig,
+    rollup_telemetry,
+    run_fleet,
+)
+from repro.serving import ClinicWorkload
 from repro.serving.scheduler import FleetConfig
 
 
@@ -82,9 +92,37 @@ class TestClusterLifecycle:
     def test_merged_quantiles_empty_fleet(self):
         tier = FleetTierConfig(n_shards=2, shard=FleetConfig(seed=0, n_workers=1))
         with FleetCluster(tier) as cluster:
-            merged = cluster.merged_quantiles()
-            assert list(merged.names()) == []
+            merged = rollup_telemetry(cluster.telemetry())
+            assert merged.histogram_states() == {}
             assert cluster.fleet_record_hashes() == []
+
+    def test_shard_histogram_state_round_trips(self):
+        """The wire shape the fleet roll-up (and the e2e benchmark's
+        per-shard sketch deltas) read from a live shard."""
+        from repro.telemetry.quantiles import ExponentialHistogram
+
+        workload = ClinicWorkload(
+            n_tenants=1, requests_per_tenant=1, duration_s=8.0, seed=0
+        )
+        tier = FleetTierConfig(n_shards=1, shard=FleetConfig(seed=0, n_workers=1))
+        with FleetCluster(tier) as cluster:
+            door = AsyncFrontDoor(cluster)
+
+            async def run():
+                (tenant, identifier), = workload.identifiers(MedSenConfig()).items()
+                await door.register_tenant(tenant, identifier)
+                await door.submit(
+                    tenant, workload.blood_sample(0, 0), identifier, duration_s=8.0
+                )
+
+            asyncio.run(run())
+            (shard,) = cluster.telemetry()
+        states = shard.quantiles["histograms"]
+        assert states["serve.e2e_s"]["count"] == 1
+        for state in states.values():
+            assert {"buckets", "zero_count", "count", "sum", "min", "max",
+                    "growth", "min_value"} <= set(state)
+            assert ExponentialHistogram.from_state(state).state() == state
 
     def test_bad_shard_count_refused(self):
         with pytest.raises(ConfigurationError):

@@ -3,7 +3,12 @@
 import pytest
 
 from repro._util.errors import ConfigurationError
-from repro.obs import Histogram, MetricsRegistry, get_registry, reset_registry
+from repro.obs import (
+    ExponentialHistogram,
+    MetricsRegistry,
+    get_registry,
+    reset_registry,
+)
 from repro.obs.render import format_metrics_table
 
 
@@ -34,47 +39,15 @@ class TestGauge:
 
 
 class TestHistogramPercentiles:
-    def test_exact_percentiles_below_capacity(self):
-        hist = Histogram("lat", capacity=2048)
-        for value in range(1, 1001):  # 1..1000
-            hist.observe(float(value))
-        assert hist.count == 1000
-        assert hist.percentile(0) == 1.0
-        assert hist.percentile(100) == 1000.0
-        assert hist.percentile(50) == pytest.approx(500.0, abs=1.0)
-        assert hist.percentile(95) == pytest.approx(950.0, abs=1.5)
-        assert hist.percentile(99) == pytest.approx(990.0, abs=1.5)
-        assert hist.mean == pytest.approx(500.5)
-        assert hist.min == 1.0 and hist.max == 1000.0
-
-    def test_reservoir_estimates_within_tolerance(self):
-        hist = Histogram("lat", capacity=512)
-        for value in range(1, 10_001):
-            hist.observe(float(value))
-        # Exact aggregates are unaffected by sampling.
-        assert hist.count == 10_000
-        assert hist.sum == pytest.approx(sum(range(1, 10_001)))
-        assert hist.max == 10_000.0
-        # Reservoir percentiles are estimates; a uniform stream should
-        # land within a few percent.
-        assert hist.percentile(50) == pytest.approx(5000, rel=0.15)
-        assert hist.percentile(95) == pytest.approx(9500, rel=0.1)
-
-    def test_deterministic_reservoir(self):
-        a, b = Histogram("x", capacity=64), Histogram("x", capacity=64)
-        for value in range(1000):
-            a.observe(float(value))
-            b.observe(float(value))
-        assert a.summary() == b.summary()
-
     def test_empty_histogram(self):
-        hist = Histogram("empty")
+        hist = MetricsRegistry().histogram("empty")
+        assert isinstance(hist, ExponentialHistogram)
         assert hist.percentile(50) == 0.0
         assert hist.summary()["count"] == 0
 
     def test_rejects_bad_quantile(self):
         with pytest.raises(ConfigurationError):
-            Histogram("x").percentile(101)
+            ExponentialHistogram("x").percentile(101)
 
 
 class TestRegistry:

@@ -1,12 +1,8 @@
 """Telemetry observer and the ``repro top`` frame (golden-filed)."""
 
+from repro.fleet import ShardTelemetry, rollup_telemetry
 from repro.obs import EventLog, ManualClock, MetricsRegistry, NULL_OBSERVER
-from repro.telemetry import (
-    TelemetryObserver,
-    render_dashboard,
-    render_observer,
-    rollup_quantiles,
-)
+from repro.telemetry import TelemetryObserver, render_dashboard, render_observer
 
 GOLDEN_FRAME = """\
 == fleet telemetry @ t=60.0s ==========================================
@@ -60,10 +56,10 @@ class TestGoldenFrame:
 class TestTelemetryObserver:
     def test_observe_feeds_all_three_sinks(self):
         observer, _ = scripted_observer()
-        # reservoir histogram (base Observer path)
-        assert observer.metrics.histogram("serve.e2e_s").count == 20
-        # quantile sketch
-        assert observer.quantiles.histogram("serve.e2e_s").count == 20
+        # the registry's one histogram: count and the 4 s tail
+        histogram = observer.metrics.histogram("serve.e2e_s")
+        assert histogram.count == 20
+        assert histogram.percentile(100) == 4.0
         # SLO latency tallies
         good, total = observer.engine._latency_counts["ingest_latency"]
         assert (good, total) == (19.0, 20.0)
@@ -79,33 +75,32 @@ class TestTelemetryObserver:
         assert observer is not NULL_OBSERVER
 
     def test_rollup_across_workers(self):
-        workers = []
+        shards = []
         for w in range(3):
-            clock = ManualClock()
             obs = TelemetryObserver(
-                metrics=MetricsRegistry(), events=EventLog(), clock=clock
+                metrics=MetricsRegistry(), events=EventLog(), clock=ManualClock()
             )
+            obs.incr("serve.completed")
+            obs.gauge("serve.queue_depth", float(w))
             obs.observe("serve.e2e_s", 0.1 * (w + 1))
-            workers.append(obs)
-        fleet = rollup_quantiles(workers)
+            shards.append(ShardTelemetry.from_registry(f"shard-{w:02d}", obs.metrics))
+        fleet = rollup_telemetry(shards)
+        assert fleet.counter("serve.completed").value == 3
         assert fleet.histogram("serve.e2e_s").count == 3
+        # gauges are point-in-time readings: namespaced, never summed
+        assert fleet.gauge("serve.queue_depth[shard-02]").value == 2.0
+        assert "serve.queue_depth" not in fleet.names()
 
 
 class TestRenderEdgeCases:
     def test_empty_registry_renders(self):
-        from repro.telemetry import QuantileRegistry
-
-        frame = render_dashboard(MetricsRegistry(), QuantileRegistry(), None, 0.0)
+        frame = render_dashboard(MetricsRegistry(), None, 0.0)
         assert frame.startswith("== fleet telemetry @ t=0.0s")
         assert frame.endswith("== end ================================================================")
 
     def test_row_cap(self):
-        from repro.telemetry import QuantileRegistry
-
         metrics = MetricsRegistry()
         for i in range(40):
             metrics.counter(f"c{i:02d}").inc()
-        frame = render_dashboard(
-            metrics, QuantileRegistry(), None, 0.0, max_rows=10
-        )
+        frame = render_dashboard(metrics, None, 0.0, max_rows=10)
         assert "... 30 more" in frame

@@ -1,93 +1,56 @@
-"""Stage profiler: deterministic timing, folded stacks, pipeline driver."""
+"""Profiling from the span tree: folded stacks, and span coverage of a
+real instrumented session."""
 
 import pytest
 
-from repro._util.errors import ConfigurationError
 from repro.obs import ManualClock, Observer
-from repro.telemetry import (
-    StageProfiler,
-    folded_from_tracer,
-    profile_pipeline,
-)
+from repro.telemetry import folded_from_tracer
 
 
-def manual_profiler():
-    wall, cpu = ManualClock(), ManualClock()
-    return StageProfiler(wall_clock=wall, cpu_clock=cpu), wall, cpu
+def manual_observer():
+    clock = ManualClock()
+    return Observer(clock=clock), clock
 
 
-class TestStageProfiler:
+class TestSpanTreeProfile:
     def test_nested_paths_and_self_time(self):
-        profiler, wall, cpu = manual_profiler()
-        with profiler.stage("analysis"):
-            wall.advance(1.0)
-            cpu.advance(0.25)
-            with profiler.stage("detrend"):
-                wall.advance(2.0)
-                cpu.advance(1.5)
-            with profiler.stage("threshold"):
-                wall.advance(0.5)
-                cpu.advance(0.5)
-        paths = [s.path for s in profiler.stats]
-        assert paths == ["analysis", "analysis;detrend", "analysis;threshold"]
-        assert profiler.self_wall_s("analysis") == pytest.approx(1.0)
-        assert profiler.self_wall_s("analysis;detrend") == pytest.approx(2.0)
-        assert profiler.total_wall_s() == pytest.approx(3.5)
+        observer, clock = manual_observer()
+        with observer.span("analysis"):
+            clock.advance(1.0)
+            with observer.span("detrend"):
+                clock.advance(2.0)
+            with observer.span("threshold"):
+                clock.advance(0.5)
+        assert folded_from_tracer(observer.tracer) == (
+            "analysis 1000000\nanalysis;detrend 2000000\nanalysis;threshold 500000"
+        )
 
     def test_repeat_calls_aggregate(self):
-        profiler, wall, _ = manual_profiler()
-        for _ in range(3):
-            with profiler.stage("step"):
-                wall.advance(1.0)
-        (stat,) = profiler.stats
-        assert stat.calls == 3
-        assert stat.wall_s == pytest.approx(3.0)
+        observer, clock = manual_observer()
+        with observer.span("session"):
+            for _ in range(3):
+                with observer.span("step"):
+                    clock.advance(1.0)
+        assert folded_from_tracer(observer.tracer) == "session 0\nsession;step 3000000"
 
     def test_folded_output_deterministic(self):
-        profiler, wall, _ = manual_profiler()
-        with profiler.stage("a"):
-            wall.advance(0.001)
-            with profiler.stage("b"):
-                wall.advance(0.002)
-        assert profiler.folded() == "a 1000\na;b 2000"
-
-    def test_cpu_clock_separate(self):
-        profiler, wall, cpu = manual_profiler()
-        with profiler.stage("wait"):
-            wall.advance(10.0)  # e.g. a modelled network sleep
-            cpu.advance(0.1)
-        (stat,) = profiler.stats
-        assert stat.wall_s == pytest.approx(10.0)
-        assert stat.cpu_s == pytest.approx(0.1)
+        observer, clock = manual_observer()
+        with observer.span("a"):
+            clock.advance(0.001)
+            with observer.span("b"):
+                clock.advance(0.002)
+        assert folded_from_tracer(observer.tracer) == "a 1000\na;b 2000"
 
     def test_exception_still_recorded(self):
-        profiler, wall, _ = manual_profiler()
+        observer, clock = manual_observer()
         with pytest.raises(RuntimeError):
-            with profiler.stage("boom"):
-                wall.advance(1.0)
+            with observer.span("boom"):
+                clock.advance(1.0)
                 raise RuntimeError("x")
-        (stat,) = profiler.stats
-        assert stat.calls == 1 and stat.wall_s == pytest.approx(1.0)
-        # the stack unwound: a new root stage is really a root
-        with profiler.stage("next"):
+        # the stack unwound: a new span is really a root
+        with observer.span("next"):
             pass
-        assert "next" in [s.path for s in profiler.stats]
-
-    def test_bad_stage_names_refused(self):
-        profiler, _, _ = manual_profiler()
-        for bad in ("", "a;b"):
-            with pytest.raises(ConfigurationError):
-                with profiler.stage(bad):
-                    pass
-
-    def test_report_and_format(self):
-        profiler, wall, _ = manual_profiler()
-        with profiler.stage("x"):
-            wall.advance(1.0)
-        report = profiler.report()
-        assert report["x"]["calls"] == 1
-        assert report["x"]["self_wall_s"] == pytest.approx(1.0)
-        assert "x" in profiler.format()
+        assert folded_from_tracer(observer.tracer) == "boom 1000000\nnext 0"
 
 
 class TestFoldedFromTracer:
@@ -103,27 +66,45 @@ class TestFoldedFromTracer:
 
 
 class TestProfilePipeline:
+    """The real pipeline, profiled from a 60 s instrumented session."""
+
     @pytest.fixture(scope="class")
     def profile(self):
-        return profile_pipeline(duration_s=4.0, n_particles=20, seed=0)
+        from repro.cli import _run_instrumented_session
+
+        return _run_instrumented_session(seed=7, duration_s=60.0, concentration=400.0)
 
     def test_all_five_stages_present(self, profile):
-        names = {s.name for s in profile.profiler.stats}
-        assert {"demodulate", "detrend", "threshold",
-                "classify", "authenticate"} <= names
+        _, observer = profile
+        names = {span.name for root in observer.tracer.roots for span in root.walk()}
+        assert {"capture", "relay", "cloud_analysis", "decrypt", "authenticate"} <= names
 
     def test_pipeline_finds_and_authenticates(self, profile):
-        assert profile.n_peaks > 0
-        assert profile.n_classified > 0
-        assert profile.auth_accepted
+        result, _ = profile
+        assert result.relay.report.count > 0
+        assert result.decryption.total_count > 0
+        assert result.auth.accepted
 
     def test_folded_covers_pipeline(self, profile):
-        folded = profile.profiler.folded()
-        assert "pipeline;demodulate" in folded
-        assert "pipeline;authenticate" in folded
+        _, observer = profile
+        folded = folded_from_tracer(observer.tracer)
+        assert "session;relay;encode " in folded
+        assert "session;decrypt;signal_decrypt;template_match " in folded
 
     def test_validation(self):
+        from repro._util.errors import ConfigurationError
+        from repro.cli import _run_instrumented_session
+
         with pytest.raises(ConfigurationError):
-            profile_pipeline(duration_s=0.0)
-        with pytest.raises(ConfigurationError):
-            profile_pipeline(n_particles=0)
+            _run_instrumented_session(seed=7, duration_s=0.0, concentration=400.0)
+
+    def test_children_cover_their_parent(self, profile):
+        """Every span with children spends >= 95% of its wall time in them."""
+        _, observer = profile
+        for root in observer.tracer.roots:
+            for span in root.walk():
+                if span.children:
+                    covered = sum(child.duration_s for child in span.children)
+                    assert covered >= 0.95 * span.duration_s, (
+                        span.name, covered, span.duration_s
+                    )

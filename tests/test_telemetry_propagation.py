@@ -97,7 +97,7 @@ class TestTraceStitching:
 
 class TestConcurrentTelemetry:
     def test_no_torn_reads_under_fleet_load(self):
-        """Snapshot the quantile registry continuously while scheduler
+        """Snapshot the metrics registry continuously while scheduler
         workers record into it from multiple threads."""
         observer = TelemetryObserver(
             metrics=MetricsRegistry(), events=EventLog()
@@ -107,7 +107,8 @@ class TestConcurrentTelemetry:
 
         def reader():
             while not stop.is_set():
-                for name, summary in observer.quantiles.snapshot().items():
+                snapshot = observer.metrics.snapshot()
+                for name, summary in snapshot["histograms"].items():
                     if summary["count"] == 0:
                         continue
                     if not (summary["min"] <= summary["p50"] <= summary["max"]):
@@ -118,7 +119,7 @@ class TestConcurrentTelemetry:
                         <= summary["max"] + 1e-12
                     ):
                         torn.append((name, summary))
-                for name, value in observer.metrics.snapshot()["counters"].items():
+                for name, value in snapshot["counters"].items():
                     if value < 0:
                         torn.append(("counter", name, value))
 
@@ -131,7 +132,7 @@ class TestConcurrentTelemetry:
             snap.join()
         assert report.n_completed == 4
         assert torn == []
-        assert observer.quantiles.histogram("serve.e2e_s").count == 4
+        assert observer.metrics.histogram("serve.e2e_s").count == 4
 
 
 class TestNoPerturbation:

@@ -1,4 +1,4 @@
-"""Exponential quantile sketches: accuracy, merging, windows, threads."""
+"""Exponential quantile sketches: accuracy, merging, roll-up, threads."""
 
 import threading
 
@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 from repro._util.errors import ConfigurationError
-from repro.obs import ManualClock
-from repro.telemetry import (
-    ExponentialHistogram,
-    QuantileRegistry,
-    RollingHistogram,
-    merge_registries,
-)
+from repro.fleet import ShardTelemetry, rollup_telemetry
+from repro.obs import ExponentialHistogram, MetricsRegistry
 
 
 class TestExponentialHistogram:
@@ -116,57 +111,30 @@ class TestExponentialHistogram:
         assert torn == []
 
 
-class TestRollingHistogram:
-    def test_window_forgets_old_slots(self):
-        clock = ManualClock()
-        r = RollingHistogram("y", window_s=60.0, n_slots=6, clock=clock)
-        r.observe(100.0)
-        clock.advance(30.0)
-        r.observe(1.0)
-        assert r.summary()["count"] == 2
-        clock.advance(45.0)  # first slot (t=0) now outside the window
-        summary = r.summary()
-        assert summary["count"] == 1
-        assert summary["max"] == 1.0
-
-    def test_slot_reuse_after_full_cycle(self):
-        clock = ManualClock()
-        r = RollingHistogram("y", window_s=10.0, n_slots=2, clock=clock)
-        r.observe(1.0)
-        clock.advance(25.0)  # same ring position, new epoch
-        r.observe(2.0)
-        assert r.summary()["count"] == 1
-        assert r.summary()["max"] == 2.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RollingHistogram("y", window_s=0.0)
-        with pytest.raises(ConfigurationError):
-            RollingHistogram("y", n_slots=0)
-
-
 class TestRegistryRollup:
-    def test_merge_registries_is_true_cross_worker_quantile(self):
-        workers = [QuantileRegistry() for _ in range(3)]
+    def test_rollup_is_true_cross_worker_quantile(self):
+        workers = [MetricsRegistry() for _ in range(3)]
         # worker 0 is slow, workers 1-2 fast: the fleet p99 must see
         # worker 0's tail even though it is a minority of traffic.
         for _ in range(10):
-            workers[0].observe("e2e", 9.0)
+            workers[0].histogram("e2e").observe(9.0)
         for w in workers[1:]:
             for _ in range(200):
-                w.observe("e2e", 0.1)
-        fleet = merge_registries(workers)
+                w.histogram("e2e").observe(0.1)
+        fleet = rollup_telemetry(
+            [ShardTelemetry.from_registry(f"shard-{i:02d}", w) for i, w in enumerate(workers)]
+        )
         s = fleet.histogram("e2e").summary()
         assert s["count"] == 410
         assert s["p99"] > 5.0  # tail survives the roll-up
 
     def test_empty_refused(self):
         with pytest.raises(ConfigurationError):
-            merge_registries([])
+            rollup_telemetry([])
 
     def test_snapshot_names(self):
-        r = QuantileRegistry()
-        r.observe("b", 1.0)
-        r.observe("a", 2.0)
+        r = MetricsRegistry()
+        r.histogram("b").observe(1.0)
+        r.histogram("a").observe(2.0)
         assert list(r.names()) == ["a", "b"]
-        assert set(r.snapshot()) == {"a", "b"}
+        assert set(r.snapshot()["histograms"]) == {"a", "b"}
