@@ -15,65 +15,102 @@ library: SHA-256 in counter mode for the keystream and HMAC-SHA256 in
 encrypt-then-MAC order for integrity.  (Not a production AEAD — the
 point here is the *system* property: key material moves only between
 TCB-trusted parties and only confidentially+authenticated.)
+
+:func:`seal` / :func:`unseal` are that construction, written once; the
+plan blob, the MSE report envelopes and the MSS stream chunks differ
+only in label stem and header, and the MSF freshness tokens and stream
+session keys use :func:`mac` alone.
 """
 
 import hashlib
 import hmac
 import os
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
+
+import numpy as np
 
 from repro._util.errors import DecryptionError, IntegrityError, ValidationError
-from repro.cloud.storage import RecordStore, StoredRecord
 from repro.crypto.decryptor import DecryptionResult, SignalDecryptor
 from repro.crypto.encryptor import EncryptionPlan
 from repro.crypto.serialization import MAX_PLAN_BYTES, plan_from_bytes, plan_to_bytes
 
-_NONCE_BYTES = 16
-_TAG_BYTES = 32
-_ENC_LABEL = b"medsen-keyshare-enc"
-_MAC_LABEL = b"medsen-keyshare-mac"
+if TYPE_CHECKING:
+    from repro.cloud.storage import RecordStore, StoredRecord
+
+#: Nonce and HMAC-SHA256 tag sizes shared by every sealed format.
+NONCE_BYTES = 16
+TAG_BYTES = 32
+_LABEL = b"medsen-keyshare"
 
 
 def derive_key(secret: bytes, label: bytes) -> bytes:
     """Domain-separated key derivation: SHA-256(label | secret).
 
-    Public so other sealed formats (the :mod:`repro.guard.envelope`
-    report envelopes, freshness tokens) reuse the exact construction —
-    distinct labels keep every derived key independent.
+    Distinct labels keep every derived key independent.
     """
     return hashlib.sha256(label + b"|" + secret).digest()
 
 
 def keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     """SHA-256 counter-mode keystream of ``length`` bytes."""
-    blocks = []
-    counter = 0
-    while sum(len(b) for b in blocks) < length:
-        blocks.append(
-            hashlib.sha256(key + nonce + counter.to_bytes(8, "little")).digest()
-        )
-        counter += 1
-    return b"".join(blocks)[:length]
+    n_blocks = -(-length // 32)
+    return b"".join(
+        hashlib.sha256(key + nonce + counter.to_bytes(8, "little")).digest()
+        for counter in range(n_blocks)
+    )[:length]
 
 
-# Backwards-compatible private aliases (pre-guard internal names).
-_derive = derive_key
-_keystream = keystream
+def mac(secret: bytes, label: bytes, body: bytes) -> bytes:
+    """HMAC-SHA256 of ``body`` under the key derived for ``label``."""
+    return hmac.new(derive_key(secret, label), body, hashlib.sha256).digest()
+
+
+def new_nonce(nonce: Optional[bytes] = None) -> bytes:
+    """A random nonce, or the caller's after a length check."""
+    nonce = os.urandom(NONCE_BYTES) if nonce is None else bytes(nonce)
+    if len(nonce) != NONCE_BYTES:
+        raise ValidationError(f"nonce must be {NONCE_BYTES} bytes")
+    return nonce
+
+
+def _xor_stream(secret: bytes, label: bytes, nonce: bytes, data: bytes) -> bytes:
+    stream = keystream(derive_key(secret, label + b"-enc"), nonce, len(data))
+    return (np.frombuffer(data, np.uint8) ^ np.frombuffer(stream, np.uint8)).tobytes()
+
+
+def seal(
+    secret: bytes, label: bytes, nonce: bytes, header: bytes, plaintext: bytes
+) -> bytes:
+    """Encrypt-then-MAC: ``header || ciphertext || tag``.
+
+    The tag covers header and ciphertext; keys derive from ``label``
+    with ``-enc`` and ``-mac`` appended.
+    """
+    body = header + _xor_stream(secret, label, nonce, plaintext)
+    return body + mac(secret, label + b"-mac", body)
+
+
+def unseal(
+    secret: bytes, label: bytes, nonce: bytes, blob: bytes, header_bytes: int
+) -> Optional[bytes]:
+    """Verify, then decrypt, a :func:`seal` output; ``None`` if forged.
+
+    The caller has checked ``blob`` holds a ``header_bytes`` header and
+    a tag, and read ``nonce`` from that header.
+    """
+    body, tag = blob[:-TAG_BYTES], blob[-TAG_BYTES:]
+    if not hmac.compare_digest(tag, mac(secret, label + b"-mac", body)):
+        return None
+    return _xor_stream(secret, label, nonce, body[header_bytes:])
 
 
 def seal_plan(plan: EncryptionPlan, secret: bytes, nonce: Optional[bytes] = None) -> bytes:
     """Seal a plan for a trusted party: nonce || ciphertext || tag."""
     if not secret:
         raise ValidationError("secret must be non-empty")
-    nonce = os.urandom(_NONCE_BYTES) if nonce is None else bytes(nonce)
-    if len(nonce) != _NONCE_BYTES:
-        raise ValidationError(f"nonce must be {_NONCE_BYTES} bytes")
-    plaintext = plan_to_bytes(plan)
-    stream = _keystream(_derive(secret, _ENC_LABEL), nonce, len(plaintext))
-    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
-    tag = hmac.new(_derive(secret, _MAC_LABEL), nonce + ciphertext, hashlib.sha256).digest()
-    return nonce + ciphertext + tag
+    nonce = new_nonce(nonce)
+    return seal(secret, _LABEL, nonce, nonce, plan_to_bytes(plan))
 
 
 def open_plan(blob: bytes, secret: bytes) -> EncryptionPlan:
@@ -84,20 +121,13 @@ def open_plan(blob: bytes, secret: bytes) -> EncryptionPlan:
         blob = bytes(blob)
     except (TypeError, ValueError) as error:
         raise ValidationError(f"sealed blob is not bytes-like: {error}") from error
-    if len(blob) < _NONCE_BYTES + _TAG_BYTES:
+    if len(blob) < NONCE_BYTES + TAG_BYTES:
         raise ValidationError("sealed blob too short")
-    if len(blob) > MAX_PLAN_BYTES + _NONCE_BYTES + _TAG_BYTES:
+    if len(blob) > MAX_PLAN_BYTES + NONCE_BYTES + TAG_BYTES:
         raise ValidationError("sealed blob exceeds the plan size cap")
-    nonce = blob[:_NONCE_BYTES]
-    ciphertext = blob[_NONCE_BYTES:-_TAG_BYTES]
-    tag = blob[-_TAG_BYTES:]
-    expected = hmac.new(
-        _derive(secret, _MAC_LABEL), nonce + ciphertext, hashlib.sha256
-    ).digest()
-    if not hmac.compare_digest(tag, expected):
+    plaintext = unseal(secret, _LABEL, blob[:NONCE_BYTES], blob, NONCE_BYTES)
+    if plaintext is None:
         raise IntegrityError("sealed key blob failed authentication")
-    stream = _keystream(_derive(secret, _ENC_LABEL), nonce, len(ciphertext))
-    plaintext = bytes(c ^ s for c, s in zip(ciphertext, stream))
     return plan_from_bytes(plaintext)
 
 
@@ -128,7 +158,7 @@ class PractitionerPortal:
         """Plans received so far (one per capture, typically)."""
         return len(self._plans)
 
-    def review_record(self, record: StoredRecord) -> DecryptionResult:
+    def review_record(self, record: "StoredRecord") -> DecryptionResult:
         """Decrypt one stored record with any held plan that fits.
 
         A plan fits when its schedule covers the record's duration; the
@@ -146,7 +176,7 @@ class PractitionerPortal:
             + (f" (tried {len(errors)}: {errors[-1]})" if errors else "")
         )
 
-    def review_latest(self, store: RecordStore, identifier_key: str) -> DecryptionResult:
+    def review_latest(self, store: "RecordStore", identifier_key: str) -> DecryptionResult:
         """Fetch and decrypt the newest record for an identifier."""
         record = store.fetch_latest(identifier_key)
         return self.review_record(record)

@@ -42,7 +42,6 @@ from repro.guard.admission import (
 from repro.guard.envelope import (
     MAX_ENVELOPE_BYTES,
     SecureChannel,
-    envelope_epoch,
     open_report,
     open_report_with_context,
     seal_report,
@@ -99,7 +98,6 @@ __all__ = [
     "seal_report",
     "open_report",
     "open_report_with_context",
-    "envelope_epoch",
     "MAX_ENVELOPE_BYTES",
     "LockoutPolicy",
     "DEFAULT_LOCKOUT_POLICY",

@@ -4,9 +4,9 @@ The §IV network attacker can rewrite the cloud's answer in flight; an
 unsealed :class:`~repro.dsp.peakdetect.PeakReport` that was bit-flipped
 would be silently decrypted by the TCB into *wrong cell counts* — the
 exact "no silent wrong answers" failure the paper's trusted-sensing
-argument exists to prevent.  This module reuses the
-:mod:`repro.crypto.keyshare` primitives (same derive/keystream/HMAC
-construction, distinct labels) to seal the report for transit:
+argument exists to prevent.  This module seals the report for transit
+with :func:`repro.crypto.keyshare.seal` under the ``medsen-envelope``
+label stem:
 
 ``envelope = MSE1 || nonce(16) || key_epoch(u32) || ciphertext || HMAC``
 
@@ -35,38 +35,35 @@ ciphertext-domain anyway; what the envelope adds is that nobody *else*
 can substitute results in flight.
 """
 
-import hmac as hmac_mod
-import hashlib
 import json
-import os
 import struct
-from typing import Any, Optional, Tuple
+from functools import partial
+from typing import Any, NoReturn, Optional, Tuple
 
 from repro._util.errors import EnvelopeError, ValidationError
+from repro.cloud.api import report_from_dict, report_to_dict
+from repro.crypto.keyshare import TAG_BYTES, new_nonce, seal, unseal
 from repro.dsp.peakdetect import PeakReport
 from repro.guard.freshness import FreshnessGuard, TokenMinter
 from repro.obs import CONTEXT_BYTES, ENVELOPE_REJECTED, NULL_OBSERVER, TraceContext
 
-
-def _keys(secret: bytes):
-    # Lazy import: keyshare pulls in cloud.storage (below the cloud
-    # package whose server lazily uses this module).
-    from repro.crypto.keyshare import derive_key, keystream
-
-    return derive_key(secret, _ENC_LABEL), derive_key(secret, _MAC_LABEL), keystream
-
 _MAGIC = b"MSE1"
 _MAGIC_V2 = b"MSE2"
-_NONCE_BYTES = 16
-_TAG_BYTES = 32
 _FIXED = struct.Struct("<4s16sI")
 _FIXED_V2 = struct.Struct(f"<4s16sI{CONTEXT_BYTES}s")
-_ENC_LABEL = b"medsen-envelope-enc"
-_MAC_LABEL = b"medsen-envelope-mac"
+_LABEL = b"medsen-envelope"
 
 #: Cap on an admissible sealed report (a million-peak report is ~100 MB
 #: of JSON; honest reports are kilobytes).
 MAX_ENVELOPE_BYTES = 1 << 27
+
+
+def refuse_envelope(observer: Any, boundary: str, reason: str) -> NoReturn:
+    """The MSE/MSS refusal funnel: count, audit, raise :class:`EnvelopeError`."""
+    observer.incr("guard.rejected")
+    observer.incr("guard.envelope_rejected")
+    observer.event(ENVELOPE_REJECTED, boundary=boundary, reason=reason)
+    raise EnvelopeError(f"[{boundary}] {reason}")
 
 
 def seal_report(
@@ -86,12 +83,7 @@ def seal_report(
         raise ValidationError("envelope secret must be non-empty")
     if key_epoch < 0 or key_epoch > 0xFFFFFFFF:
         raise ValidationError(f"key epoch {key_epoch} out of u32 range")
-    nonce = os.urandom(_NONCE_BYTES) if nonce is None else bytes(nonce)
-    if len(nonce) != _NONCE_BYTES:
-        raise ValidationError(f"nonce must be {_NONCE_BYTES} bytes")
-    from repro.cloud.api import report_to_dict
-
-    enc_key, mac_key, keystream = _keys(secret)
+    nonce = new_nonce(nonce)
     plaintext = json.dumps(report_to_dict(report)).encode("utf-8")
     if trace_context is None:
         header = _FIXED.pack(_MAGIC, nonce, key_epoch)
@@ -99,10 +91,7 @@ def seal_report(
         header = _FIXED_V2.pack(
             _MAGIC_V2, nonce, key_epoch, trace_context.to_bytes()
         )
-    stream = keystream(enc_key, nonce, len(plaintext))
-    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
-    tag = hmac_mod.new(mac_key, header + ciphertext, hashlib.sha256).digest()
-    return header + ciphertext + tag
+    return seal(secret, _LABEL, nonce, header, plaintext)
 
 
 def open_report_with_context(
@@ -115,63 +104,47 @@ def open_report_with_context(
 
     HMAC verification runs before any decryption or parsing; every
     failure — truncation, bad magic, a single flipped bit anywhere —
-    raises :class:`EnvelopeError`, bumps ``guard.rejected`` /
-    ``guard.envelope_rejected``, and emits a ``guard.envelope_rejected``
-    audit event.  Only an authentic envelope is decrypted.  The second
-    element is the ``MSE2`` trace context, or ``None`` for ``MSE1``.
+    raises :class:`EnvelopeError` through :func:`refuse_envelope`.
+    Only an authentic envelope is decrypted.  The second element is the
+    ``MSE2`` trace context, or ``None`` for ``MSE1``.
     """
     if not secret:
         raise ValidationError("envelope secret must be non-empty")
-
-    def refuse(reason: str) -> None:
-        observer.incr("guard.rejected")
-        observer.incr("guard.envelope_rejected")
-        observer.event(ENVELOPE_REJECTED, boundary=boundary, reason=reason)
-        raise EnvelopeError(f"[{boundary}] {reason}")
-
+    refuse = partial(refuse_envelope, observer, boundary)
     try:
         blob = bytes(blob)
     except (TypeError, ValueError):
         refuse("envelope is not bytes-like")
-    if len(blob) < _FIXED.size + _TAG_BYTES:
+    if len(blob) < _FIXED.size + TAG_BYTES:
         refuse("envelope too short")
     if len(blob) > MAX_ENVELOPE_BYTES:
         refuse("envelope exceeds size cap")
     if blob[:4] == _MAGIC_V2:
         layout = _FIXED_V2
-        if len(blob) < layout.size + _TAG_BYTES:
+        if len(blob) < layout.size + TAG_BYTES:
             refuse("v2 envelope too short for its header")
     else:
         layout = _FIXED
-    header = blob[: layout.size]
-    ciphertext = blob[layout.size : -_TAG_BYTES]
-    tag = blob[-_TAG_BYTES:]
-    fields = layout.unpack(header)
+    fields = layout.unpack(blob[: layout.size])
     magic, nonce = fields[0], fields[1]
     if magic not in (_MAGIC, _MAGIC_V2):
         refuse(f"bad envelope magic {magic!r}")
-    enc_key, mac_key, keystream = _keys(secret)
-    expected = hmac_mod.new(mac_key, header + ciphertext, hashlib.sha256).digest()
-    if not hmac_mod.compare_digest(tag, expected):
+    plaintext = unseal(secret, _LABEL, nonce, blob, layout.size)
+    if plaintext is None:
         refuse("envelope failed authentication")
+    # Authenticated from here on: a bad context or undecodable payload
+    # means a broken peer, not the network — same typed funnel.
     context: Optional[TraceContext] = None
     if layout is _FIXED_V2:
         try:
             context = TraceContext.from_bytes(fields[3])
         except ValidationError as error:
             refuse(f"authentic envelope carries a bad trace context: {error}")
-    stream = keystream(enc_key, nonce, len(ciphertext))
-    plaintext = bytes(c ^ s for c, s in zip(ciphertext, stream))
-    from repro.cloud.api import report_from_dict
-
     try:
         payload = json.loads(plaintext.decode("utf-8"))
         return report_from_dict(payload), context
     except (ValidationError, ValueError, UnicodeDecodeError) as error:
-        # Authenticated but undecodable: the *peer* is broken, not the
-        # network — still refuse through the same typed funnel.
         refuse(f"authentic envelope decodes to garbage: {error}")
-    raise AssertionError("unreachable")  # refuse() always raises
 
 
 def open_report(
@@ -189,23 +162,6 @@ def open_report(
         blob, secret, observer=observer, boundary=boundary
     )
     return report
-
-
-def envelope_epoch(blob: Any) -> int:
-    """The key epoch claimed by an envelope header (unauthenticated —
-    use only for routing/diagnostics, never for trust decisions)."""
-    try:
-        blob = bytes(blob)
-        if len(blob) < _FIXED.size:
-            raise EnvelopeError("envelope too short for a header")
-        magic, _nonce, key_epoch = _FIXED.unpack(blob[: _FIXED.size])
-        if magic not in (_MAGIC, _MAGIC_V2):
-            raise EnvelopeError(f"bad envelope magic {magic!r}")
-        return int(key_epoch)
-    except EnvelopeError:
-        raise
-    except (TypeError, ValueError, struct.error) as error:
-        raise EnvelopeError(f"unreadable envelope header: {error}") from error
 
 
 class SecureChannel:

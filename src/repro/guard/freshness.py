@@ -8,8 +8,8 @@ with an *authenticated* freshness token the attacker cannot mint:
 
 ``token = MSF1 || nonce(16) || key_epoch(u32) || minted_at(f64) || HMAC``
 
-The HMAC key derives from a secret shared between phone and cloud (via
-:func:`repro.crypto.keyshare.derive_key`, distinct label), so a forged
+The tag is :func:`repro.crypto.keyshare.mac` under a secret shared
+between phone and cloud (``medsen-freshness-mac`` label), so a forged
 or bit-flipped token fails authentication; the nonce makes every honest
 token unique, so a *replayed* token — identical bytes, any claimed
 ``request_id`` — hits the server's seen-nonce registry and raises
@@ -30,10 +30,9 @@ still a typed refusal.  The context rides *inside* the HMAC'd body, so
 an attacker cannot re-route a trace without failing authentication.
 """
 
-import hmac as hmac_mod
-import hashlib
-import os
+import hmac
 import struct
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -44,6 +43,7 @@ from repro._util.errors import (
     StaleEpochError,
     ValidationError,
 )
+from repro.crypto.keyshare import TAG_BYTES, mac, new_nonce
 from repro.obs import (
     CONTEXT_BYTES,
     GUARD_REJECTED,
@@ -55,17 +55,15 @@ from repro.obs import (
 
 _MAGIC = b"MSF1"
 _MAGIC_V2 = b"MSF2"
-_NONCE_BYTES = 16
-_TAG_BYTES = 32
 _FIXED = struct.Struct("<4s16sId")
 _FIXED_V2 = struct.Struct(f"<4s16sId{CONTEXT_BYTES}s")
 _MAC_LABEL = b"medsen-freshness-mac"
 
 #: Serialized v1 token size: fixed fields + HMAC-SHA256 tag.
-TOKEN_BYTES = _FIXED.size + _TAG_BYTES
+TOKEN_BYTES = _FIXED.size + TAG_BYTES
 
 #: Serialized v2 (context-carrying) token size.
-TOKEN_V2_BYTES = _FIXED_V2.size + _TAG_BYTES
+TOKEN_V2_BYTES = _FIXED_V2.size + TAG_BYTES
 
 
 @dataclass(frozen=True)
@@ -76,14 +74,6 @@ class FreshnessToken:
     key_epoch: int
     minted_at_s: float
     context: Optional[TraceContext] = None
-
-
-def _tag(secret: bytes, body: bytes) -> bytes:
-    # Lazy import: keyshare pulls in cloud.storage, which sits below the
-    # cloud package whose server imports this module.
-    from repro.crypto.keyshare import derive_key
-
-    return hmac_mod.new(derive_key(secret, _MAC_LABEL), body, hashlib.sha256).digest()
 
 
 def mint_token(
@@ -103,9 +93,7 @@ def mint_token(
         raise ValidationError("freshness secret must be non-empty")
     if key_epoch < 0 or key_epoch > 0xFFFFFFFF:
         raise ValidationError(f"key epoch {key_epoch} out of u32 range")
-    nonce = os.urandom(_NONCE_BYTES) if nonce is None else bytes(nonce)
-    if len(nonce) != _NONCE_BYTES:
-        raise ValidationError(f"nonce must be {_NONCE_BYTES} bytes")
+    nonce = new_nonce(nonce)
     if trace_context is None:
         body = _FIXED.pack(_MAGIC, nonce, key_epoch, float(minted_at_s))
     else:
@@ -116,7 +104,7 @@ def mint_token(
             float(minted_at_s),
             trace_context.to_bytes(),
         )
-    return body + _tag(secret, body)
+    return body + mac(secret, _MAC_LABEL, body)
 
 
 def parse_token(blob: Any, secret: bytes) -> FreshnessToken:
@@ -147,7 +135,7 @@ def parse_token(blob: Any, secret: bytes) -> FreshnessToken:
     fields = layout.unpack(body)
     if fields[0] != expected_magic:
         raise MalformedPayloadError(f"bad freshness magic {fields[0]!r}")
-    if not hmac_mod.compare_digest(tag, _tag(secret, body)):
+    if not hmac.compare_digest(tag, mac(secret, _MAC_LABEL, body)):
         raise MalformedPayloadError("freshness token failed authentication")
     context: Optional[TraceContext] = None
     if layout is _FIXED_V2:
@@ -246,6 +234,9 @@ class FreshnessGuard:
         self.capacity = int(capacity)
         self._clock = clock
         self._seen: "OrderedDict[bytes, int]" = OrderedDict()
+        # Fleet worker threads share one guard: the seen-nonce check and
+        # insert, and the rollover prune, must not interleave.
+        self._lock = threading.Lock()
         self.admitted = 0
         self.replays_refused = 0
         self.stale_refused = 0
@@ -261,15 +252,16 @@ class FreshnessGuard:
         first), so retaining it only burns registry capacity that live
         epochs need for genuine replay protection.
         """
-        self.key_epoch += 1
-        floor = self.key_epoch - self.epoch_window
-        stale = [
-            nonce for nonce, epoch in self._seen.items() if epoch < floor
-        ]
-        for nonce in stale:
-            del self._seen[nonce]
-        self.pruned += len(stale)
-        return self.key_epoch
+        with self._lock:
+            self.key_epoch += 1
+            floor = self.key_epoch - self.epoch_window
+            stale = [
+                nonce for nonce, epoch in self._seen.items() if epoch < floor
+            ]
+            for nonce in stale:
+                del self._seen[nonce]
+            self.pruned += len(stale)
+            return self.key_epoch
 
     def minter(self, clock: Any = None) -> TokenMinter:
         """A phone-side minter paired with this guard's secret/epoch."""
@@ -296,48 +288,49 @@ class FreshnessGuard:
             observer.incr("guard.rejected")
             observer.event(GUARD_REJECTED, boundary=boundary, reason="bad_token")
             raise
-        if (
-            token.key_epoch > self.key_epoch
-            or token.key_epoch < self.key_epoch - self.epoch_window
-        ):
-            self.stale_refused += 1
-            observer.incr("guard.rejected")
-            observer.incr("guard.stale_epoch")
-            observer.event(
-                STALE_EPOCH_REJECTED,
-                boundary=boundary,
-                token_epoch=token.key_epoch,
-                expected_epoch=self.key_epoch,
-            )
-            raise StaleEpochError(
-                f"token epoch {token.key_epoch} outside window "
-                f"[{self.key_epoch - self.epoch_window}, {self.key_epoch}]"
-            )
-        if self.max_age_s is not None and self._clock is not None:
-            age = float(self._clock()) - token.minted_at_s
-            if age > self.max_age_s:
+        with self._lock:
+            if (
+                token.key_epoch > self.key_epoch
+                or token.key_epoch < self.key_epoch - self.epoch_window
+            ):
                 self.stale_refused += 1
                 observer.incr("guard.rejected")
                 observer.incr("guard.stale_epoch")
                 observer.event(
-                    STALE_EPOCH_REJECTED, boundary=boundary, age_s=age
+                    STALE_EPOCH_REJECTED,
+                    boundary=boundary,
+                    token_epoch=token.key_epoch,
+                    expected_epoch=self.key_epoch,
                 )
                 raise StaleEpochError(
-                    f"token is {age:.3f}s old; max age is {self.max_age_s}s"
+                    f"token epoch {token.key_epoch} outside window "
+                    f"[{self.key_epoch - self.epoch_window}, {self.key_epoch}]"
                 )
-        if token.nonce in self._seen:
-            self.replays_refused += 1
-            observer.incr("guard.rejected")
-            observer.incr("guard.replay_detected")
-            observer.event(
-                REPLAY_DETECTED, boundary=boundary, token_epoch=token.key_epoch
-            )
-            raise ReplayError("freshness nonce already consumed: replay refused")
-        self._seen[token.nonce] = token.key_epoch
-        while len(self._seen) > self.capacity:
-            self._seen.popitem(last=False)
-        self.admitted += 1
-        return token
+            if self.max_age_s is not None and self._clock is not None:
+                age = float(self._clock()) - token.minted_at_s
+                if age > self.max_age_s:
+                    self.stale_refused += 1
+                    observer.incr("guard.rejected")
+                    observer.incr("guard.stale_epoch")
+                    observer.event(
+                        STALE_EPOCH_REJECTED, boundary=boundary, age_s=age
+                    )
+                    raise StaleEpochError(
+                        f"token is {age:.3f}s old; max age is {self.max_age_s}s"
+                    )
+            if token.nonce in self._seen:
+                self.replays_refused += 1
+                observer.incr("guard.rejected")
+                observer.incr("guard.replay_detected")
+                observer.event(
+                    REPLAY_DETECTED, boundary=boundary, token_epoch=token.key_epoch
+                )
+                raise ReplayError("freshness nonce already consumed: replay refused")
+            self._seen[token.nonce] = token.key_epoch
+            while len(self._seen) > self.capacity:
+                self._seen.popitem(last=False)
+            self.admitted += 1
+            return token
 
     @property
     def n_seen(self) -> int:

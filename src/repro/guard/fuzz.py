@@ -24,6 +24,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._util.errors import AdmissionError, IntegrityError, ValidationError
+from repro.crypto.keyshare import open_plan, seal_plan
 from repro.obs import NULL_OBSERVER
 
 # ---------------------------------------------------------------------------
@@ -224,7 +225,6 @@ def _make_journal_lines(report) -> Tuple[bytes, ...]:
 def default_targets(secret: bytes = b"fuzz-shared-secret") -> Tuple[ParserTarget, ...]:
     """The nine wire formats an attacker can reach, with honest seeds."""
     from repro.cloud.api import AnalysisRequest, AnalysisResponse, StoreRequest
-    from repro.crypto.keyshare import open_plan, seal_plan
     from repro.crypto.serialization import plan_from_bytes, plan_to_bytes
     from repro.dsp.recording import CsvRecordingModel
     from repro.guard.envelope import open_report, seal_report

@@ -157,7 +157,7 @@ class InjectedFault:
     detail: str
 
 
-def _tag(text: str) -> int:
+def _label_hash(text: str) -> int:
     return int.from_bytes(
         hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "big"
     )
@@ -190,7 +190,8 @@ class FaultInjector:
         """Fresh generator for one decision — order-independent."""
         return np.random.default_rng(
             np.random.SeedSequence(
-                entropy=self.seed, spawn_key=(_tag(site), _tag(label), int(index))
+                entropy=self.seed,
+                spawn_key=(_label_hash(site), _label_hash(label), int(index)),
             )
         )
 

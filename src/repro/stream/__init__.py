@@ -31,7 +31,6 @@ from repro.stream.envelope import (
     MAX_CHUNK_CHANNELS,
     MAX_CHUNK_SAMPLES,
     StreamChunk,
-    chunk_epoch,
     open_chunk,
     seal_chunk,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "StreamOutcome",
     "StreamReport",
     "StreamSessionConfig",
-    "chunk_epoch",
     "degraded_stream_diagnosis",
     "open_chunk",
     "report_digest",

@@ -21,8 +21,9 @@ contract after each:
   bit-identical.
 * ``stream-watchdog-reaps`` — silent sessions suspend then reap on
   deadline; heartbeats keep an idle-but-alive session off the list.
-* ``stream-journal-rebuild`` — replaying the acked-chunk journal
-  reproduces the closed session's report digest exactly.
+* ``stream-journal-rebuild`` — replaying the acked-chunk journal just
+  before the close frees it reproduces the closed session's report
+  digest exactly.
 
 Everything is seeded; the report digest is deterministic, so the drill
 can gate CI (``python -m repro stream --smoke``).
@@ -104,6 +105,22 @@ class _ScriptedLink:
 
     def congestion_signal(self, label: str, seq: int) -> bool:
         return self.congest_all
+
+
+class _ReplayBeforeClose:
+    """Gateway proxy: rebuilds each session from its journal just
+    before ``close_session`` frees it."""
+
+    def __init__(self, gateway: StreamGateway) -> None:
+        self.gateway = gateway
+        self.rebuilt: Dict[str, Any] = {}
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.gateway, name)
+
+    def close_session(self, session_id: str):
+        self.rebuilt[session_id] = self.gateway.replay_journal(session_id)
+        return self.gateway.close_session(session_id)
 
 
 def synthetic_stream_trace(
@@ -222,7 +239,8 @@ def run_stream(
         trace, fs, "clinic-resume", _SECRET,
         config=config, observer=observer, rng=rng,
     )
-    outcome = streamer.run(gateway, injector=link)
+    replaying = _ReplayBeforeClose(gateway)
+    outcome = streamer.run(replaying, injector=link)
     track(streamer)
     report.outcome_digests.append(outcome.digest)
     expected = _one_shot_digest(trace, fs)
@@ -248,7 +266,7 @@ def run_stream(
             detail="; ".join(problems),
         )
     )
-    rebuilt = gateway.replay_journal(outcome.session_id)
+    rebuilt = replaying.rebuilt[outcome.session_id]
     checks.append(
         InvariantResult(
             name="stream-journal-rebuild",

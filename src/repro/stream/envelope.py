@@ -2,11 +2,11 @@
 
 A streaming device cannot wait for a full trace before sealing — every
 chunk crosses the untrusted link on its own, so every chunk carries its
-own authenticated envelope.  The construction reuses the
-:mod:`repro.crypto.keyshare` primitives (derive/keystream/HMAC, distinct
-labels) in the exact idiom of the MSE1 report envelope
-(:mod:`repro.guard.envelope`), with a header that binds everything the
-gateway needs to *order* and *epoch-check* the chunk before trusting it:
+own authenticated envelope, sealed with
+:func:`repro.crypto.keyshare.seal` under the ``medsen-stream`` label
+stem like the MSE1 report envelope (:mod:`repro.guard.envelope`), with
+a header that binds everything the gateway needs to *order* and
+*epoch-check* the chunk before trusting it:
 
 ``chunk = MSS1 || nonce(16) || key_epoch(u32) || session_key(16)
           || seq(u32) || n_channels(u16) || n_samples(u32) || fs(f64)
@@ -25,25 +25,22 @@ window around a rotation (see :class:`repro.stream.session.StreamGateway`)
 so in-flight chunks sealed just before the rotation still land.
 """
 
-import hmac as hmac_mod
-import hashlib
-import os
 import struct
+from functools import partial
 from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
 
-from repro._util.errors import EnvelopeError, ValidationError
-from repro.obs import ENVELOPE_REJECTED, NULL_OBSERVER
+from repro._util.errors import ValidationError
+from repro.crypto.keyshare import TAG_BYTES, new_nonce, seal, unseal
+from repro.guard.envelope import refuse_envelope
+from repro.obs import NULL_OBSERVER
 
 _MAGIC = b"MSS1"
-_NONCE_BYTES = 16
 _SESSION_KEY_BYTES = 16
-_TAG_BYTES = 32
 _FIXED = struct.Struct("<4s16sI16sIHId")
-_ENC_LABEL = b"medsen-stream-enc"
-_MAC_LABEL = b"medsen-stream-mac"
+_LABEL = b"medsen-stream"
 
 #: Admission caps: an honest chunk is a few thousand samples over a
 #: handful of channels; anything past these is refused before the
@@ -54,22 +51,6 @@ MAX_CHUNK_BYTES = 1 << 26
 
 #: Serialized size of the fixed header.
 HEADER_BYTES = _FIXED.size
-
-
-def _keys(secret: bytes):
-    # Lazy import: keyshare pulls in cloud.storage, which sits below
-    # packages that import this module at class-definition time.
-    from repro.crypto.keyshare import derive_key, keystream
-
-    return derive_key(secret, _ENC_LABEL), derive_key(secret, _MAC_LABEL), keystream
-
-
-def _xor(data: bytes, stream: bytes) -> bytes:
-    # Chunk payloads are tens of kilobytes; vectorised XOR keeps the
-    # seal/open path off the per-byte Python loop.
-    return (
-        np.frombuffer(data, dtype=np.uint8) ^ np.frombuffer(stream, dtype=np.uint8)
-    ).tobytes()
 
 
 @dataclass(frozen=True)
@@ -115,9 +96,7 @@ def seal_chunk(
         raise ValidationError(f"key epoch {key_epoch} out of u32 range")
     if not np.isfinite(sampling_rate_hz) or sampling_rate_hz <= 0:
         raise ValidationError(f"sampling rate must be finite > 0, got {sampling_rate_hz}")
-    nonce = os.urandom(_NONCE_BYTES) if nonce is None else bytes(nonce)
-    if len(nonce) != _NONCE_BYTES:
-        raise ValidationError(f"nonce must be {_NONCE_BYTES} bytes")
+    nonce = new_nonce(nonce)
     samples = np.ascontiguousarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ValidationError(f"chunk must be 2-D, got shape {samples.shape}")
@@ -138,11 +117,8 @@ def seal_chunk(
         int(n_samples),
         float(sampling_rate_hz),
     )
-    enc_key, mac_key, keystream = _keys(secret)
     plaintext = samples.astype("<f8", copy=False).tobytes()
-    ciphertext = _xor(plaintext, keystream(enc_key, nonce, len(plaintext)))
-    tag = hmac_mod.new(mac_key, header + ciphertext, hashlib.sha256).digest()
-    return header + ciphertext + tag
+    return seal(secret, _LABEL, nonce, header, plaintext)
 
 
 def open_chunk(
@@ -162,32 +138,22 @@ def open_chunk(
     """
     if not secret:
         raise ValidationError("stream secret must be non-empty")
-
-    def refuse(reason: str) -> None:
-        observer.incr("guard.rejected")
-        observer.incr("guard.envelope_rejected")
-        observer.event(ENVELOPE_REJECTED, boundary=boundary, reason=reason)
-        raise EnvelopeError(f"[{boundary}] {reason}")
-
+    refuse = partial(refuse_envelope, observer, boundary)
     try:
         blob = bytes(blob)
     except (TypeError, ValueError):
         refuse("chunk envelope is not bytes-like")
-    if len(blob) < HEADER_BYTES + _TAG_BYTES:
+    if len(blob) < HEADER_BYTES + TAG_BYTES:
         refuse("chunk envelope too short")
     if len(blob) > MAX_CHUNK_BYTES:
         refuse("chunk envelope exceeds size cap")
-    header = blob[:HEADER_BYTES]
-    ciphertext = blob[HEADER_BYTES:-_TAG_BYTES]
-    tag = blob[-_TAG_BYTES:]
     magic, nonce, key_epoch, session_key, seq, n_channels, n_samples, fs = (
-        _FIXED.unpack(header)
+        _FIXED.unpack(blob[:HEADER_BYTES])
     )
     if magic != _MAGIC:
         refuse(f"bad chunk magic {magic!r}")
-    enc_key, mac_key, keystream = _keys(secret)
-    expected = hmac_mod.new(mac_key, header + ciphertext, hashlib.sha256).digest()
-    if not hmac_mod.compare_digest(tag, expected):
+    plaintext = unseal(secret, _LABEL, nonce, blob, HEADER_BYTES)
+    if plaintext is None:
         refuse("chunk envelope failed authentication")
     # Authenticated from here on: disagreements mean a broken peer, not
     # a network attacker — still refuse through the same typed funnel.
@@ -197,12 +163,11 @@ def open_chunk(
         refuse(f"authentic chunk claims {n_samples} samples")
     if not np.isfinite(fs) or fs <= 0:
         refuse(f"authentic chunk claims sampling rate {fs}")
-    if len(ciphertext) != n_channels * n_samples * 8:
+    if len(plaintext) != n_channels * n_samples * 8:
         refuse(
-            f"authentic chunk payload is {len(ciphertext)} bytes; header "
+            f"authentic chunk payload is {len(plaintext)} bytes; header "
             f"claims {n_channels}x{n_samples} float64"
         )
-    plaintext = _xor(ciphertext, keystream(enc_key, nonce, len(ciphertext)))
     samples = np.frombuffer(plaintext, dtype="<f8").reshape(n_channels, n_samples)
     if not np.all(np.isfinite(samples)):
         refuse("authentic chunk decodes to non-finite samples")
@@ -214,20 +179,3 @@ def open_chunk(
         samples=samples,
         nonce=nonce,
     )
-
-
-def chunk_epoch(blob: Any) -> int:
-    """The key epoch claimed by a chunk header (unauthenticated — use
-    only for routing/diagnostics, never for trust decisions)."""
-    try:
-        blob = bytes(blob)
-        if len(blob) < HEADER_BYTES:
-            raise EnvelopeError("chunk too short for a header")
-        fields = _FIXED.unpack(blob[:HEADER_BYTES])
-        if fields[0] != _MAGIC:
-            raise EnvelopeError(f"bad chunk magic {fields[0]!r}")
-        return int(fields[2])
-    except EnvelopeError:
-        raise
-    except (TypeError, ValueError, struct.error) as error:
-        raise EnvelopeError(f"unreadable chunk header: {error}") from error

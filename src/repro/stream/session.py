@@ -30,8 +30,7 @@ Session state machine (see docs/streaming.md)::
 Every transition is an audit event; every refusal is typed.
 """
 
-import hashlib
-import hmac as hmac_mod
+import hmac
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -48,6 +47,8 @@ from repro._util.errors import (
     UnknownSessionError,
     ValidationError,
 )
+from repro.cloud.api import report_to_dict
+from repro.crypto.keyshare import mac
 from repro.dsp.peakdetect import PeakDetector, PeakReport
 from repro.dsp.windowed import WindowedPeakDetector
 from repro.guard.freshness import FreshnessGuard, TokenMinter
@@ -176,8 +177,6 @@ def report_digest(report: PeakReport) -> str:
     this: identical float bits serialise to identical JSON (shortest
     round-trip repr), so equal digests mean equal reports field-for-field.
     """
-    from repro.cloud.api import report_to_dict
-
     return canonical_digest(report_to_dict(report), 12)
 
 
@@ -294,22 +293,10 @@ class StreamGateway:
         raise error
 
     def _derive_resume_token(self, session_id: str) -> str:
-        from repro.crypto.keyshare import derive_key
-
-        return hmac_mod.new(
-            derive_key(self.secret, _RESUME_LABEL),
-            session_id.encode("utf-8"),
-            hashlib.sha256,
-        ).hexdigest()[:32]
+        return mac(self.secret, _RESUME_LABEL, session_id.encode("utf-8")).hex()[:32]
 
     def _derive_session_key(self, session_id: str) -> bytes:
-        from repro.crypto.keyshare import derive_key
-
-        return hmac_mod.new(
-            derive_key(self.secret, _SESSION_KEY_LABEL),
-            session_id.encode("utf-8"),
-            hashlib.sha256,
-        ).digest()[:16]
+        return mac(self.secret, _SESSION_KEY_LABEL, session_id.encode("utf-8"))[:16]
 
     def _lookup(self, session_id: str) -> _Session:
         session = self._sessions.get(session_id)
@@ -582,8 +569,11 @@ class StreamGateway:
         before the watchdog noticed just gets its cursor back.
         """
         session = self._lookup(session_id)
-        if not hmac_mod.compare_digest(
-            str(resume_token), session.resume_token
+        # Bytes, not str: compare_digest refuses non-ASCII str with a
+        # bare TypeError, and the token arrives from outside.
+        if not hmac.compare_digest(
+            str(resume_token).encode("utf-8", "surrogatepass"),
+            session.resume_token.encode("ascii"),
         ):
             self._refuse(
                 session_id,
@@ -647,7 +637,9 @@ class StreamGateway:
 
         The returned report is bit-identical to
         ``PeakDetector.detect`` over the concatenation of every
-        analysed chunk — the streaming lane's core guarantee.
+        analysed chunk — the streaming lane's core guarantee.  Closing
+        frees the session's detector and journal, as reaping does: only
+        the outcome outlives it.
         """
         session = self._lookup(session_id)
         if session.state != ACTIVE:
@@ -665,6 +657,7 @@ class StreamGateway:
         ):
             report = session.detector.finish()
         session.detector = None
+        session.journal = []
         session.state = CLOSED
         outcome = StreamOutcome(
             session_id=session_id,
@@ -700,11 +693,18 @@ class StreamGateway:
 
         A fresh windowed detector refed with the journaled blobs (each
         re-verified through :func:`~repro.stream.envelope.open_chunk`)
-        reproduces the closed session's report bit-for-bit — the
-        journal *is* the session, which is what makes a crashed gateway
-        recoverable.  Epoch checks are deliberately skipped: the
-        journal holds chunks legitimately accepted under past epochs.
+        reproduces what closing the session would report, bit-for-bit —
+        the journal *is* the session, which is what makes a crashed
+        gateway recoverable.  It serves open sessions: a CLOSED session
+        has freed its journal and refuses with
+        :class:`~repro._util.errors.SessionStateError`.  Epoch checks
+        are deliberately skipped: the journal holds chunks legitimately
+        accepted under past epochs.
         """
+        if self.session_state(session_id) == CLOSED:
+            raise SessionStateError(
+                f"session {session_id} is closed; its journal was freed"
+            )
         blobs = self.journal_blobs(session_id)
         detector: Optional[WindowedPeakDetector] = None
         for blob in blobs:

@@ -1,13 +1,16 @@
 """Thread-safety stress tests for the components a serving fleet
-shares: the record store, the metrics registry, the event log, and the
-per-thread tracer."""
+shares: the record store, the metrics registry, the event log, the
+per-thread tracer, and the freshness guard."""
 
+import sys
 import threading
 
 import pytest
 
 from repro.cloud.storage import RecordStore
+from repro._util.errors import ReplayError
 from repro.dsp.peakdetect import PeakReport
+from repro.guard.freshness import FreshnessGuard, mint_token
 from repro.obs import EventLog, MetricsRegistry, Observer, Tracer
 
 N_THREADS = 8
@@ -166,3 +169,46 @@ class TestTracerConcurrency:
         hammer(worker)
         assert observer.metrics.counter("ops").value == N_THREADS * 50
         assert observer.metrics.histogram("op_size").count == N_THREADS * 50
+
+
+class TestFreshnessGuardConcurrency:
+    def test_one_token_admitted_once_across_threads(self):
+        guard = FreshnessGuard(b"concurrency-secret")
+        token = mint_token(b"concurrency-secret", 0)
+        barrier = threading.Barrier(N_THREADS)
+        outcomes = []
+
+        def worker(index):
+            barrier.wait()
+            try:
+                guard.admit(token)
+                outcomes.append("admitted")
+            except ReplayError:
+                outcomes.append("replay")
+
+        hammer(worker)
+        assert sorted(outcomes) == ["admitted"] + ["replay"] * (N_THREADS - 1)
+        assert guard.admitted == 1
+
+    def test_rollover_prune_races_admission(self):
+        # The window keeps every nonce, so each rollover walks the whole
+        # registry while the other threads insert into it.
+        guard = FreshnessGuard(b"concurrency-secret", epoch_window=1 << 20)
+        tokens = [mint_token(b"concurrency-secret", 0) for _ in range(8000)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def worker(index):
+            if index == 0:
+                for _ in range(2000):
+                    guard.advance_epoch()
+            else:
+                for token in tokens[index - 1 :: N_THREADS - 1]:
+                    guard.admit(token)
+
+        try:
+            hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert guard.key_epoch == 2000
+        assert guard.admitted == guard.n_seen == len(tokens)

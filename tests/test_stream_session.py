@@ -168,6 +168,13 @@ class TestResume:
         with pytest.raises(ResumeAuthError):
             gateway.resume(opened.session_id, "0" * 32)
 
+    @pytest.mark.parametrize("token", ["é" * 32, "\ud800" * 32])
+    def test_resume_with_non_ascii_token_refused(self, token):
+        gateway = make_gateway()
+        opened = open_session(gateway)
+        with pytest.raises(ResumeAuthError):
+            gateway.resume(opened.session_id, token)
+
     def test_resume_unknown_session_refused(self):
         gateway = make_gateway()
         with pytest.raises(UnknownSessionError):
@@ -280,6 +287,21 @@ class TestJournal:
         outcome = gateway.close_session(opened.session_id)
         assert report_digest(replayed) == outcome.digest
         assert outcome.digest == report_digest(PeakDetector().detect(trace, FS))
+
+    def test_close_frees_the_journal(self):
+        gateway = make_gateway()
+        trace = synthetic_stream_trace(ensure_rng(14), n_channels=2, n_samples=1024)
+        session_ids = []
+        for tenant in ("clinic-00", "clinic-01", "clinic-02"):
+            opened = open_session(gateway, tenant=tenant)
+            send_all(gateway, opened, trace, step=256)
+            assert len(gateway.journal_blobs(opened.session_id)) == 4
+            gateway.close_session(opened.session_id)
+            session_ids.append(opened.session_id)
+        for session_id in session_ids:
+            assert gateway.journal_blobs(session_id) == ()
+            with pytest.raises(SessionStateError):
+                gateway.replay_journal(session_id)
 
 
 class TestRateController:
