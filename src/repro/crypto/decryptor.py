@@ -29,8 +29,9 @@ Algorithm
    ``S``.
 """
 
+import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -159,12 +160,18 @@ class SignalDecryptor:
     def _match_groups(self, report: PeakReport) -> Tuple[List[_Group], int]:
         schedule = self.plan.schedule
         peaks = sorted(report.peaks, key=lambda p: p.time_s)
-        unassigned: Set[int] = set(range(len(peaks)))
+        times = [peak.time_s for peak in peaks]
+        assigned = bytearray(len(peaks))
         groups: List[_Group] = []
         anomalies = 0
 
-        while unassigned:
-            anchor_index = min(unassigned, key=lambda i: peaks[i].time_s)
+        # The anchor is the lowest unassigned index: the earliest peak,
+        # and the lowest index among equal times.
+        anchor_index = 0
+        while anchor_index < len(peaks):
+            if assigned[anchor_index]:
+                anchor_index += 1
+                continue
             anchor = peaks[anchor_index]
             epoch_time = min(anchor.time_s, schedule.duration_s * (1 - 1e-12))
             epoch_index = schedule.epoch_index_at(epoch_time)
@@ -172,6 +179,10 @@ class SignalDecryptor:
             velocity = self._velocity_for_epoch(epoch)
             template = self._gap_template(epoch, velocity)
             tolerance_s = self.tolerance_fraction * self.plan.array.transit_time_s(velocity)
+            # Padding the window to twice the tolerance covers the
+            # rounding of ``expected -/+ window`` and of the error test,
+            # so the window holds every peak that can pass that test.
+            window_s = 2.0 * tolerance_s
 
             matched: List[Tuple[DetectedPeak, int]] = []
             slot_of_peak: Dict[int, int] = {}
@@ -179,10 +190,14 @@ class SignalDecryptor:
             for slot, (offset_s, electrode) in enumerate(template):
                 expected = anchor.time_s + offset_s
                 best, best_error = None, tolerance_s
-                for i in unassigned:
-                    if i in slot_of_peak:
+                # Every peak before the anchor is assigned already.
+                lo = bisect.bisect_left(times, expected - window_s, anchor_index)
+                hi = bisect.bisect_right(times, expected + window_s, lo)
+                # Ascending order with ``<=``: the highest index wins ties.
+                for i in range(lo, hi):
+                    if assigned[i] or i in slot_of_peak:
                         continue
-                    error = abs(peaks[i].time_s - expected)
+                    error = abs(times[i] - expected)
                     if error <= best_error:
                         best, best_error = i, error
                 if best is None:
@@ -191,10 +206,11 @@ class SignalDecryptor:
                     slot_of_peak[best] = slot
                     matched.append((peaks[best], electrode))
             if not matched:
-                unassigned.discard(anchor_index)
+                assigned[anchor_index] = 1
                 anomalies += 1
                 continue
-            unassigned.difference_update(slot_of_peak)
+            for i in slot_of_peak:
+                assigned[i] = 1
             credits = self._credit_merges(
                 peaks, anchor, template, slot_of_peak, unmatched_slots, epoch, tolerance_s
             )

@@ -11,6 +11,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro._util.errors import ValidationError
 from repro._util.rng import RngLike, ensure_rng
 from repro._util.validation import check_positive
 from repro.physics.lockin import LockInAmplifier
@@ -33,9 +34,9 @@ class AcquiredTrace:
     def __post_init__(self) -> None:
         voltages = np.asarray(self.voltages, dtype=float)
         if voltages.ndim != 2:
-            raise ValueError(f"voltages must be 2-D, got shape {voltages.shape}")
+            raise ValidationError(f"voltages must be 2-D, got shape {voltages.shape}")
         if voltages.shape[0] != len(self.carrier_frequencies_hz):
-            raise ValueError(
+            raise ValidationError(
                 f"{voltages.shape[0]} channels but "
                 f"{len(self.carrier_frequencies_hz)} carriers"
             )
@@ -79,14 +80,22 @@ class AcquisitionFrontEnd:
         check_positive("duration_s", duration_s)
         generator = ensure_rng(rng)
         internal_rate = self.lockin.internal_rate_hz
-        fractional = synthesize_pulse_train(
-            events,
-            n_channels=self.lockin.n_channels,
-            sampling_rate_hz=internal_rate,
-            duration_s=duration_s,
+        # The internal-rate arrays are ~4x the recorded trace, so none
+        # outlives its stage: the fractional trace lives only through
+        # ``noise.apply``, and the noisy array is scaled to volts in
+        # place (``demodulate`` scales a copy) before the filter runs.
+        noisy = self.noise.apply(
+            synthesize_pulse_train(
+                events,
+                n_channels=self.lockin.n_channels,
+                sampling_rate_hz=internal_rate,
+                duration_s=duration_s,
+            ),
+            internal_rate,
+            rng=generator,
         )
-        noisy = self.noise.apply(fractional, internal_rate, rng=generator)
-        voltages = self.lockin.demodulate(noisy)
+        noisy *= self.lockin.excitation_volts
+        voltages = self.lockin._filter_and_decimate(noisy)
         return AcquiredTrace(
             voltages=voltages,
             sampling_rate_hz=self.lockin.output_rate_hz,

@@ -18,10 +18,11 @@ correctly modulated when the cipher changes the flow speed.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
+from repro._util.errors import ValidationError
 from repro._util.rng import RngLike, ensure_rng
 from repro._util.validation import check_positive, check_probability
 from repro.microfluidics.flow import FlowController
@@ -81,7 +82,7 @@ class TransportModel:
     def survival_probability(self, particle: Particle, arrival_time_s: float) -> float:
         """Probability the particle reaches the sensor at ``arrival_time_s``."""
         if arrival_time_s < 0:
-            raise ValueError(f"arrival_time_s must be >= 0, got {arrival_time_s}")
+            raise ValidationError(f"arrival_time_s must be >= 0, got {arrival_time_s}")
         settle = np.exp(-arrival_time_s / self.settling_tau_s(particle))
         return float(settle * (1.0 - self.adsorption_probability))
 
@@ -110,15 +111,15 @@ class TransportModel:
         pumped_ul = flow.volume_pumped_ul(0.0, duration_s)
         sample_ul = sample.volume_ul
         positions_ul = generator.uniform(0.0, sample_ul, size=len(particles))
+        # Parcels beyond the pumped volume are not drawn within the run.
+        reachable = np.flatnonzero(positions_ul <= pumped_ul)
+        times_s = _arrival_times(flow, positions_ul[reachable], duration_s)
+        draws = generator.random(reachable.size)
 
         arrivals: List[ParticleArrival] = []
-        for particle, position_ul in zip(particles, positions_ul):
-            if position_ul > pumped_ul:
-                continue  # parcel not drawn within the run
-            time_s = self._time_for_volume(flow, position_ul, duration_s)
-            if time_s is None:
-                continue
-            if generator.random() > self.survival_probability(particle, time_s):
+        for index, time_s, draw in zip(reachable.tolist(), times_s.tolist(), draws.tolist()):
+            particle = particles[index]
+            if draw > self.survival_probability(particle, time_s):
                 continue  # settled in the well or stuck to a wall
             arrivals.append(
                 ParticleArrival(
@@ -146,21 +147,35 @@ class TransportModel:
         fraction = min(pumped_ul / sample.volume_ul, 1.0)
         return sample.total_count * fraction
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _time_for_volume(
-        flow: FlowController, volume_ul: float, duration_s: float
-    ) -> Optional[float]:
-        """Invert the cumulative pumped-volume function by bisection."""
-        if volume_ul <= 0.0:
-            return 0.0
-        lo, hi = 0.0, duration_s
-        if flow.volume_pumped_ul(0.0, hi) < volume_ul:
-            return None
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if flow.volume_pumped_ul(0.0, mid) < volume_ul:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+
+def _arrival_times(
+    flow: FlowController, volumes_ul: np.ndarray, duration_s: float
+) -> np.ndarray:
+    """When the pump has drawn each of ``volumes_ul`` (all reachable).
+
+    One 60-step bisection on ``[0, duration_s]`` runs over the whole
+    array.  Each step evaluates the cumulative volume exactly as
+    :meth:`FlowController.volume_pumped_ul` ``(0.0, mid)`` does: segment
+    by segment in time order, ``total += rate * (seg_end - seg_start) /
+    60.0``.  The segments wholly before ``mid`` add the same terms for
+    every particle, so their running sums are taken once (in the same
+    order); the segment holding ``mid`` adds its partial term; later
+    segments add nothing.  Every time therefore keeps the float bits of
+    the per-particle scalar search.  A volume ``<= 0.0`` maps to 0.0.
+    """
+    starts, rates = (np.array(column, dtype=float) for column in zip(*flow.segments()))
+    volume_before = np.zeros(len(starts))
+    for i in range(1, len(starts)):
+        full_segment = rates[i - 1] * (starts[i] - starts[i - 1]) / 60.0
+        volume_before[i] = volume_before[i - 1] + full_segment
+
+    lo = np.zeros(volumes_ul.shape)
+    hi = np.full(volumes_ul.shape, float(duration_s))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        segment = np.searchsorted(starts, mid, side="left") - 1
+        total = volume_before[segment] + rates[segment] * (mid - starts[segment]) / 60.0
+        below = total < volumes_ul
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.where(volumes_ul <= 0.0, 0.0, 0.5 * (lo + hi))

@@ -19,6 +19,7 @@ from typing import Tuple
 import numpy as np
 from scipy import signal as sp_signal
 
+from repro._util.errors import ValidationError
 from repro._util.units import khz
 from repro._util.validation import check_positive
 
@@ -103,11 +104,20 @@ class LockInAmplifier:
         """
         trace = np.asarray(fractional_trace, dtype=float)
         if trace.ndim != 2 or trace.shape[0] != self.n_channels:
-            raise ValueError(
+            raise ValidationError(
                 f"expected trace of shape ({self.n_channels}, n), got {trace.shape}"
             )
-        volts = self.excitation_volts * trace
-        if trace.shape[1] == 0:
+        return self._filter_and_decimate(self.excitation_volts * trace)
+
+    def _filter_and_decimate(self, volts: np.ndarray) -> np.ndarray:
+        """Recovery low-pass at the internal rate, then decimation.
+
+        One channel at a time, into a fresh output array: the filter's
+        internal-rate temporaries then last one channel, and the result
+        holds no view of them.  Channels filter independently, so this
+        is bit-identical to one ``sosfiltfilt`` call along ``axis=1``.
+        """
+        if volts.shape[1] == 0:
             return volts[:, :0]
         sos = sp_signal.butter(
             self.filter_order,
@@ -116,8 +126,11 @@ class LockInAmplifier:
             fs=self.internal_rate_hz,
             output="sos",
         )
-        filtered = sp_signal.sosfiltfilt(sos, volts, axis=1)
-        return filtered[:, :: self.oversample_factor]
+        step = self.oversample_factor
+        out = np.empty((volts.shape[0], len(range(0, volts.shape[1], step))))
+        for channel, row in enumerate(volts):
+            out[channel] = sp_signal.sosfiltfilt(sos, row)[::step]
+        return out
 
     def output_sample_count(self, duration_s: float) -> int:
         """Number of recorded samples for a run of ``duration_s``."""

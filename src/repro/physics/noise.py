@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._util.errors import ValidationError
 from repro._util.rng import RngLike, ensure_rng
 from repro._util.validation import check_positive
 
@@ -103,13 +104,18 @@ class NoiseModel:
         """
         trace = np.asarray(trace, dtype=float)
         if trace.ndim != 2:
-            raise ValueError(f"trace must be 2-D (channels, samples), got shape {trace.shape}")
+            raise ValidationError(
+                f"trace must be 2-D (channels, samples), got shape {trace.shape}"
+            )
         generator = ensure_rng(rng)
         n_channels, n_samples = trace.shape
         drift = self.drift.generate(n_samples, sampling_rate_hz, rng=generator)
         noisy = trace * drift[None, :]
         if self.white_sigma > 0:
-            noisy = noisy + generator.normal(0.0, self.white_sigma, size=trace.shape)
+            # Row by row into the fresh array: the same draws in the same
+            # order as one full-shape draw, without a full-shape temporary.
+            for row in noisy:
+                row += generator.normal(0.0, self.white_sigma, size=n_samples)
         return noisy
 
 

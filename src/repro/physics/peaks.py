@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro._util.errors import ValidationError
 from repro._util.validation import check_positive
 
 #: sigma -> FWHM conversion for a Gaussian.
@@ -91,7 +92,7 @@ def synthesize_pulse_train(
     check_positive("sampling_rate_hz", sampling_rate_hz)
     check_positive("duration_s", duration_s)
     if n_channels < 1:
-        raise ValueError(f"n_channels must be >= 1, got {n_channels}")
+        raise ValidationError(f"n_channels must be >= 1, got {n_channels}")
     n_samples = int(round(duration_s * sampling_rate_hz))
     trace = np.full((n_channels, n_samples), float(baseline))
     if n_samples == 0:
@@ -99,7 +100,7 @@ def synthesize_pulse_train(
     times = np.arange(n_samples) / sampling_rate_hz
     for event in events:
         if event.amplitudes.shape[0] != n_channels:
-            raise ValueError(
+            raise ValidationError(
                 f"event has {event.amplitudes.shape[0]} channel amplitudes, "
                 f"trace has {n_channels} channels"
             )

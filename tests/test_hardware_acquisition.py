@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._util.errors import ValidationError
 from repro.hardware.acquisition import AcquiredTrace, AcquisitionFrontEnd
 from repro.physics.lockin import LockInAmplifier
 from repro.physics.noise import QUIET
@@ -30,7 +31,7 @@ class TestAcquiredTrace:
         assert trace.duration_s == pytest.approx(2.0)
 
     def test_channel_carrier_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="carriers"):
             AcquiredTrace(
                 voltages=np.ones((3, 10)),
                 sampling_rate_hz=450.0,
@@ -38,7 +39,7 @@ class TestAcquiredTrace:
             )
 
     def test_one_dimensional_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="2-D"):
             AcquiredTrace(
                 voltages=np.ones(10),
                 sampling_rate_hz=450.0,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._util.errors import ValidationError
 from repro.microfluidics import FlowController, TransportModel
 from repro.particles import BEAD_3P58, BEAD_7P8, BLOOD_CELL, Sample
 from repro.particles.sample import Particle
@@ -128,5 +129,5 @@ class TestLosses:
 
     def test_negative_arrival_time_rejected(self, transport):
         particle = Particle(BEAD_7P8, BEAD_7P8.diameter_m)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="arrival_time_s"):
             transport.survival_probability(particle, -1.0)

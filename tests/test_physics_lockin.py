@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._util.errors import ValidationError
 from repro.physics.lockin import DEFAULT_CARRIERS_HZ, LockInAmplifier
 from repro.physics.peaks import PulseEvent, synthesize_pulse_train
 
@@ -74,7 +75,7 @@ class TestDemodulation:
         assert np.std(out[0]) < 0.002  # > 5x attenuation
 
     def test_shape_mismatch_rejected(self, small_lockin):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="expected trace of shape"):
             small_lockin.demodulate(np.ones((3, 100)))
 
     def test_empty_trace(self, small_lockin):

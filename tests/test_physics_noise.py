@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._util.errors import ValidationError
 from repro.physics.noise import QUIET, BaselineDriftModel, NoiseModel
 
 
@@ -79,7 +80,7 @@ class TestNoiseModel:
         assert np.allclose(QUIET.apply(trace, 450.0, rng=0), trace)
 
     def test_one_dimensional_trace_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="2-D"):
             NoiseModel().apply(np.ones(100), 450.0)
 
     def test_negative_sigma_rejected(self):

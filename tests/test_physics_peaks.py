@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._util.errors import ValidationError
 from repro.physics.peaks import (
     PulseEvent,
     events_per_particle,
@@ -61,8 +62,10 @@ class TestSynthesis:
 
     def test_channel_count_mismatch_rejected(self):
         event = make_event(amps=(0.01,))
-        with pytest.raises(ValueError, match="channel"):
+        with pytest.raises(ValidationError, match="channel amplitudes"):
             synthesize_pulse_train([event], 3, 450.0, 2.0)
+        with pytest.raises(ValidationError, match="n_channels"):
+            synthesize_pulse_train([event], 0, 450.0, 2.0)
 
     def test_overlapping_dips_add(self):
         a = make_event(center=1.0, amps=(0.01,))
