@@ -1,36 +1,37 @@
-"""DSP hot path: fused columnar pass vs the legacy staged pipeline.
+"""DSP hot path: fused pass vs the legacy staged pipeline.
 
 The paper's Fig 14 names trace processing as the end-to-end latency
 bottleneck.  PR 10 replaced the stage-at-a-time path — a per-row
 ``_fit_baseline`` Python loop inside every detrend window, fresh
 arrays per stage, and a per-peak measurement loop — with the fused
-columnar pass in :mod:`repro.dsp.fused`.  This bench re-runs the
-*retained* legacy formulation (the per-row polyfit loop plus
-:meth:`PeakDetector._report_from_dips`) against the shipped fused path
-on the same seeded traces, asserting the headline claim: **at least 2x
-on the single-trace hot path**.
+pass in :mod:`repro.dsp.fused`.  This bench re-runs the *retained*
+legacy formulation (the per-row polyfit loop plus the oracle's per-peak
+``report_from_dips`` loop) against the shipped fused path on the same
+seeded traces, asserting the headline claim: **at least 2x on the
+single-trace hot path**.
 
 Because the speedup is only meaningful if the answers match, the bench
-also differentially checks the fused reports against the staged
-formulation sharing the new kernel (the same oracle
-``tests/_dsp_oracle.py`` uses) and gates on zero mismatches; the
-legacy path agrees to ~1e-12 but not bitwise (polyfit vs masked normal
+also differentially checks the fused reports against the staged oracle
+in ``tests/_dsp_oracle.py`` (which shares the new kernel) with the test
+suite's IEEE-bytes comparator, and gates on zero mismatches; the legacy
+path agrees to ~1e-12 but not bitwise (polyfit vs masked normal
 equations), so it is timed, not diffed.
 
-Run standalone (``python benchmarks/bench_dsp.py [--quick]``) or under
-pytest.
+Run standalone (``PYTHONPATH=src:. python benchmarks/bench_dsp.py
+[--quick]``) or under pytest.
 """
 
 import argparse
 import sys
 import time
-from typing import Callable, List, Tuple
+from typing import Callable
 
 import numpy as np
 
 from benchmarks._harness import print_table
 from repro.dsp import PeakDetector, PeakReport
-from repro.dsp.detrend import DetrendConfig, _fit_baseline, piecewise_polynomial_detrend_rows
+from repro.dsp.detrend import DetrendConfig, _fit_baseline
+from tests._dsp_oracle import explain_report_mismatch, report_from_dips, staged_detect
 
 SPEEDUP_FLOOR = 2.0
 
@@ -80,17 +81,7 @@ def legacy_detect(
 ) -> PeakReport:
     """Stage-at-a-time detect: legacy detrend loop + per-peak loop."""
     dips = 1.0 - legacy_detrend_rows(trace, sampling_rate_hz, detector.detrend)
-    return detector._report_from_dips(dips, sampling_rate_hz)
-
-
-def staged_detect(
-    detector: PeakDetector, trace: np.ndarray, sampling_rate_hz: float
-) -> PeakReport:
-    """Staged formulation on the shared kernel (the differential oracle)."""
-    dips = 1.0 - piecewise_polynomial_detrend_rows(
-        trace, sampling_rate_hz, detector.detrend
-    )
-    return detector._report_from_dips(dips, sampling_rate_hz)
+    return report_from_dips(detector, dips, sampling_rate_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -116,27 +107,6 @@ def make_trace(duration_s: float, seed: int) -> np.ndarray:
         rolloff = 1.0 - 0.35 * np.arange(N_CHANNELS) / max(N_CHANNELS - 1, 1)
         trace[:, lo:hi] -= rolloff[:, np.newaxis] * pulse[np.newaxis, :]
     return trace
-
-
-def reports_identical(a: PeakReport, b: PeakReport) -> bool:
-    if (
-        a.count != b.count
-        or float(a.duration_s) != float(b.duration_s)
-        or float(a.sampling_rate_hz) != float(b.sampling_rate_hz)
-        or a.detection_channel != b.detection_channel
-    ):
-        return False
-    for p, q in zip(a.peaks, b.peaks):
-        if (
-            float(p.time_s) != float(q.time_s)
-            or float(p.depth) != float(q.depth)
-            or float(p.width_s) != float(q.width_s)
-            or p.sample_index != q.sample_index
-            or p.amplitudes.shape != q.amplitudes.shape
-            or p.amplitudes.tobytes() != q.amplitudes.tobytes()
-        ):
-            return False
-    return True
 
 
 def time_best(fn: Callable[[], object], repeats: int) -> float:
@@ -166,14 +136,6 @@ def run_bench(quick: bool) -> dict:
     )
     speedup = legacy_s / fused_s
 
-    batch = [make_trace(duration_s / 2, seed=3000 + i) for i in range(8)]
-    serial_s = time_best(
-        lambda: [detector.detect(t, SAMPLING_RATE_HZ) for t in batch], repeats
-    )
-    batched_s = time_best(
-        lambda: detector.detect_batch(batch, SAMPLING_RATE_HZ), repeats
-    )
-
     n_diff = 4 if quick else 8
     mismatches = 0
     peak_count = 0
@@ -182,14 +144,13 @@ def run_bench(quick: bool) -> dict:
         fused = detector.detect(diff_trace, SAMPLING_RATE_HZ)
         oracle = staged_detect(detector, diff_trace, SAMPLING_RATE_HZ)
         peak_count += fused.count
-        if not reports_identical(fused, oracle):
+        if explain_report_mismatch(fused, oracle):
             mismatches += 1
 
     return {
         "speedup": speedup,
         "legacy_ms": legacy_s * 1e3,
         "fused_ms": fused_s * 1e3,
-        "batch8_speedup": serial_s / batched_s,
         "mismatches": mismatches,
         "n_diff": n_diff,
         "peak_count": peak_count,
@@ -241,13 +202,6 @@ def collect(quick: bool = True) -> dict:
             "tolerance": 0.5,
             "gate": False,
         },
-        "batch8_speedup": {
-            "value": round(results["batch8_speedup"], 3),
-            "unit": "ratio",
-            "direction": "higher",
-            "tolerance": 0.5,
-            "gate": False,
-        },
     }
 
 
@@ -265,13 +219,12 @@ def main(argv=None) -> int:
         ["path", "ms/trace"],
         [
             ["legacy staged", f"{results['legacy_ms']:.1f}"],
-            ["fused columnar", f"{results['fused_ms']:.1f}"],
+            ["fused", f"{results['fused_ms']:.1f}"],
         ],
     )
     print(
         f"single-trace speedup: {results['speedup']:.2f}x "
-        f"(floor {SPEEDUP_FLOOR}x); batch-of-8 vs serial: "
-        f"{results['batch8_speedup']:.2f}x"
+        f"(floor {SPEEDUP_FLOOR}x)"
     )
     print(
         f"differential check: {results['mismatches']} mismatches over "

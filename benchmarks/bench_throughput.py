@@ -32,15 +32,12 @@ CLINIC_UPLINK = NetworkModel(
 SPEEDUP_FLOOR = 3.0
 
 
-def run_fleet(
-    n_workers: int, workload: ClinicWorkload, batch_size: int = 1
-) -> Tuple[float, float]:
+def run_fleet(n_workers: int, workload: ClinicWorkload) -> Tuple[float, float]:
     """One fleet run; returns (sessions/sec, p95 latency)."""
     config = FleetConfig(
         seed=workload.seed,
         n_workers=n_workers,
         queue_capacity=workload.n_requests,
-        batch_size=batch_size,
         network=CLINIC_UPLINK,
         realtime_network=True,
     )

@@ -16,7 +16,7 @@ reviewer would reach for first:
 * ``selftest``  — electrode-array self-test with optional injected
   faults (``--dead/--weak/--stuck``).
 * ``serve``     — multi-tenant serving fleet over a synthetic clinic
-  workload: worker pool, fair queue, dynamic batching, retry/breaker
+  workload: worker pool, fair queue, retry/breaker
   (``--smoke`` runs the small CI check).
 * ``chaos``     — seeded fault-injection campaign across every layer,
   including the in-process replication phase, checking the resilience
@@ -247,14 +247,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     if args.smoke:
-        # CI-friendly: tiny workload, exercise batching + failure
-        # injection + backpressure paths, exit non-zero on any anomaly.
+        # CI-friendly: tiny workload, exercise the failure-injection
+        # and backpressure paths, exit non-zero on any anomaly.
         config = FleetConfig(
             seed=args.seed,
             n_workers=2,
             queue_capacity=8,
-            batch_size=2,
-            batch_linger_s=0.01,
             drop_probability=0.05,
             duplicate_probability=0.05,
             deadline_s=30.0,
@@ -267,8 +265,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             seed=args.seed,
             n_workers=args.workers,
             queue_capacity=args.queue_capacity,
-            batch_size=args.batch_size,
-            batch_linger_s=args.batch_linger,
             drop_probability=args.drop,
             timeout_probability=args.timeout,
             duplicate_probability=args.duplicate,
@@ -283,7 +279,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"serving {workload.n_requests} sessions from {workload.n_tenants} "
         f"tenants on {config.n_workers} workers "
-        f"(batch {config.batch_size}, queue {config.queue_capacity})"
+        f"(queue {config.queue_capacity})"
     )
     with FleetScheduler(config, observer=observer) as scheduler:
         report = run_clinic(scheduler, workload)
@@ -424,7 +420,6 @@ def _cmd_top_sharded(args: argparse.Namespace) -> int:
         seed=args.seed,
         n_workers=args.workers,
         queue_capacity=max(8, workload.n_requests),
-        batch_size=args.batch_size,
     )
     tier = FleetTierConfig(
         n_shards=args.shards,
@@ -481,7 +476,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
         seed=args.seed,
         n_workers=args.workers,
         queue_capacity=max(8, args.tenants * args.requests),
-        batch_size=args.batch_size,
     )
     workload = ClinicWorkload(
         n_tenants=args.tenants,
@@ -626,10 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--duration", type=float, default=20.0,
                        help="capture duration per session (s)")
     serve.add_argument("--queue-capacity", type=int, default=64)
-    serve.add_argument("--batch-size", type=int, default=1,
-                       help="dynamic batching: max coalesced traces (1 = off)")
-    serve.add_argument("--batch-linger", type=float, default=0.02,
-                       help="dynamic batching: max wait for riders (s)")
     serve.add_argument("--drop", type=float, default=0.0,
                        help="per-attempt drop probability on the uplink")
     serve.add_argument("--timeout", type=float, default=0.0,
@@ -671,7 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="requests per tenant")
     top.add_argument("--duration", type=float, default=8.0,
                      help="capture duration per session (s)")
-    top.add_argument("--batch-size", type=int, default=1)
     top.add_argument("--shards", type=int, default=0,
                      help="run the traffic through N shard processes and "
                           "render the merged cross-shard roll-up (0 = off)")

@@ -10,10 +10,8 @@ evictions are counted (``cloud.history_dropped``), so a long-running
 deployment cannot grow without limit.
 
 The server is thread-safe: the fleet scheduler's workers share one
-instance, and accounting happens under a lock.  ``analyze_batch``
-processes several traces in one vectorised detrend+threshold pass —
-the serving stack's dynamic batcher coalesces queued traces into such
-batches — and is numerically identical to per-trace :meth:`analyze`.
+instance, and accounting happens under a lock.  Each job is one trace
+through :meth:`PeakDetector.detect <repro.dsp.peakdetect.PeakDetector.detect>`.
 
 Analysis timing flows through the observability layer: each job runs
 inside a ``cloud_analysis`` span whose duration backs the
@@ -24,7 +22,7 @@ observer, which measures but records nothing).
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, Optional, Tuple
 
 from repro._util.errors import ConfigurationError, MalformedPayloadError
 from repro.dsp.peakdetect import PeakDetector, PeakReport
@@ -253,38 +251,6 @@ class AnalysisServer:
             trace_context=getattr(self._thread, "last_span_context", None),
         )
 
-    def analyze_batch(self, traces: Sequence[AcquiredTrace]) -> List[PeakReport]:
-        """Analyse several traces in one fused columnar pass.
-
-        Same-shape traces are stacked into a columnar
-        :class:`~repro.dsp.fused.TraceBatch` and carried through
-        detrend → invert → threshold → measure in one pass
-        (:meth:`PeakDetector.detect_batch`), amortising the window
-        bookkeeping across the whole batch; reports are bit-identical
-        to calling :meth:`analyze` per trace.  Per-job accounting
-        divides the batch's wall-clock evenly — the batch is the unit
-        of work, so each rider's share is the amortised cost.
-        """
-        if not traces:
-            return []
-        if self.admission is not None:
-            for trace in traces:
-                admit_trace(
-                    trace, self.admission, observer=self.observer, boundary="batch"
-                )
-        with self.observer.span(
-            "cloud_analysis_batch", batch_size=len(traces)
-        ) as span:
-            reports = self.detector.detect_batch(
-                [trace.voltages for trace in traces],
-                [trace.sampling_rate_hz for trace in traces],
-            )
-        share = span.duration_s / len(traces)
-        for trace, report in zip(traces, reports):
-            self._account(trace, report, share, streaming=False)
-        self.observer.observe("cloud.batch_size", len(traces))
-        return reports
-
     def analyze_streaming(
         self, trace: AcquiredTrace, chunk_s: float = 20.0
     ) -> PeakReport:
@@ -294,7 +260,7 @@ class AnalysisServer:
         :class:`~repro.dsp.windowed.WindowedPeakDetector` carries the
         detrend and peak state across chunks — but bounded-memory: the
         §VII-B multi-hour captures never need to be resident at once.
-        Accounting (history, timing) matches the batch path.
+        Accounting (history, timing) matches :meth:`analyze`.
         """
         if self.admission is not None:
             admit_trace(

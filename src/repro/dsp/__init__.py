@@ -6,8 +6,8 @@ can legitimately do is here:
 * :mod:`~repro.dsp.detrend` — remove slow baseline drift by fitting
   second-order polynomials to overlapping sub-sequences and normalising
   by the fit (the paper's empirically optimal scheme; global low-order
-  fits under-fit, high-order fits deform peaks — both are provided for
-  the ablation).
+  fits under-fit, high-order fits deform peaks — the global variant is
+  kept for that ablation, which ``tests/test_dsp_detrend.py`` runs).
 * :mod:`~repro.dsp.peakdetect` — threshold the detrended signal and
   extract each peak's timestamp, depth, width and per-carrier
   amplitudes.
@@ -18,11 +18,10 @@ can legitimately do is here:
 * :mod:`~repro.dsp.windowed` — chunked windowed detrend + peak
   detection with explicit carry-over state, bit-identical to the
   one-shot path (the streaming workload's DSP core).
-* :mod:`~repro.dsp.fused` — the columnar :class:`TraceBatch` layout
-  and the fused detrend → invert → threshold → measure pass that
-  :meth:`PeakDetector.detect`/:meth:`~PeakDetector.detect_batch` run
-  on (see ``docs/dsp.md``; proven bit-identical to the staged
-  formulation by ``tests/test_dsp_fused_differential.py``).
+* :mod:`~repro.dsp.fused` — the fused single-trace detrend → invert →
+  threshold → measure pass that :meth:`PeakDetector.detect` runs on
+  (see ``docs/dsp.md``; proven bit-identical to the staged formulation
+  by ``tests/test_dsp_fused_differential.py``).
 """
 
 from repro.dsp.detrend import (
@@ -33,14 +32,7 @@ from repro.dsp.detrend import (
 )
 from repro.dsp.features import FeatureExtractor, PeakFeatures
 from repro.dsp.peakdetect import DetectedPeak, PeakDetector, PeakReport
-from repro.dsp.fused import (
-    TraceBatch,
-    fused_detect,
-    fused_detect_batch,
-    fused_detect_many,
-    fused_dips,
-    partition_traces,
-)
+from repro.dsp.fused import fused_detect, fused_dips
 from repro.dsp.recording import CsvRecordingModel, compressed_size_bytes
 from repro.dsp.windowed import (
     ExactPeakStream,
@@ -61,12 +53,8 @@ __all__ = [
     "DetectedPeak",
     "PeakDetector",
     "PeakReport",
-    "TraceBatch",
     "fused_detect",
-    "fused_detect_batch",
-    "fused_detect_many",
     "fused_dips",
-    "partition_traces",
     "CsvRecordingModel",
     "compressed_size_bytes",
 ]

@@ -14,7 +14,8 @@ The paper's recipe, reproduced exactly:
 The paper justifies second order empirically: a *global* second-order
 fit under-fits long records, high global orders over-fit and deform
 peaks.  :func:`global_polynomial_detrend` implements the global variant
-so the ablation benchmark can reproduce that comparison.
+so that comparison can be reproduced; the ablation itself lives in
+``tests/test_dsp_detrend.py`` (``TestGlobalDetrendAblation``).
 """
 
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro._util.errors import ValidationError
 from repro._util.validation import check_in_range, check_positive
 
 
@@ -47,7 +49,7 @@ class DetrendConfig:
         check_positive("window_s", self.window_s)
         check_in_range("overlap_fraction", self.overlap_fraction, 0.0, 0.9)
         if self.order < 0:
-            raise ValueError(f"order must be >= 0, got {self.order}")
+            raise ValidationError(f"order must be >= 0, got {self.order}")
 
 
 def _fit_baseline(window: np.ndarray, order: int, n_iterations: int = 3) -> np.ndarray:
@@ -61,10 +63,13 @@ def _fit_baseline(window: np.ndarray, order: int, n_iterations: int = 3) -> np.n
 
     This is the legacy per-row polyfit formulation, retained as the
     numerical reference for :func:`fit_baseline_rows` (which agrees to
-    ~1e-12 relative) and as the engine of the slow-path ablation in
-    :func:`global_polynomial_detrend`.  The hot path — one-shot,
-    batched, windowed and fused detection — runs on
-    :func:`fit_baseline_rows`.
+    ~1e-12 relative at the paper's order 2) and as the engine of the
+    ablation in :func:`global_polynomial_detrend`.  The ablation needs
+    the scalar fit: at its order 40 the normal equations of
+    :func:`fit_baseline_rows` are ill-conditioned, and on the ablation's
+    50 s trace the two plain fits differ by up to ~3e-3 relative.
+    Detection — one-shot (fused), windowed streaming, and the
+    staged test oracle — runs on :func:`fit_baseline_rows`.
     """
     n = window.shape[0]
     if n <= order:
@@ -97,9 +102,9 @@ _GRID_CACHE: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]] = 
 _GRID_CACHE_MAX = 128
 
 #: Rows per kernel tile.  The masked reductions allocate (rows, n)
-#: temporaries; tiling keeps them cache-resident for large stacked
-#: batches.  Tiling is invisible to the output: each row's arithmetic
-#: is independent of its batch-mates, so any row partition produces
+#: temporaries; tiling keeps them cache-resident for many-row inputs.
+#: Tiling is invisible to the output: each row's arithmetic is
+#: independent of the other rows, so any row partition produces
 #: bitwise-identical baselines.
 _ROW_BLOCK = 8
 
@@ -139,15 +144,15 @@ def fit_baseline_rows(
     layout, every reduction runs over that row's full length (masked
     samples contribute exact zeros), and the stacked solve factorises
     each small system separately.  That per-row independence is what
-    lets the one-shot, batched (``detect_batch``), windowed-streaming
-    and fused columnar paths all share this kernel while staying
-    bit-identical to each other.
+    lets the fused one-shot path, the windowed-streaming path and the
+    staged test oracle share this kernel while staying bit-identical to
+    each other.
     """
     segments = np.ascontiguousarray(np.asarray(segments, dtype=float))
     if segments.ndim != 2:
-        raise ValueError(f"segments must be 2-D (rows, n), got {segments.shape}")
+        raise ValidationError(f"segments must be 2-D (rows, n), got {segments.shape}")
     if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+        raise ValidationError(f"order must be >= 0, got {order}")
     rows, n = segments.shape
     if n == 0 or rows == 0:
         return np.empty((rows, n))
@@ -221,7 +226,7 @@ def _solve_rows(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Stacked small-system solve with a per-row singularity fallback.
 
     ``numpy.linalg.solve`` raises if *any* stacked system is singular,
-    which would let one degenerate row change its batch-mates' code
+    which would let one degenerate row change the other rows' code
     path.  The fallback therefore re-solves row by row — each row's
     result depends only on its own system either way.
     """
@@ -254,7 +259,7 @@ def piecewise_polynomial_detrend(
     """
     signal = np.asarray(signal, dtype=float)
     if signal.ndim != 1:
-        raise ValueError(f"signal must be 1-D, got shape {signal.shape}")
+        raise ValidationError(f"signal must be 1-D, got shape {signal.shape}")
     return piecewise_polynomial_detrend_rows(
         signal[np.newaxis, :], sampling_rate_hz, config
     )[0]
@@ -273,13 +278,12 @@ def piecewise_polynomial_detrend_rows(
     :func:`fit_baseline_rows` call over every row.  That kernel's
     arithmetic is per-row independent, so every row's result is
     bit-identical to :func:`piecewise_polynomial_detrend` on that row
-    alone and batched analysis is bit-identical to serial — the
-    property the serving stack's dynamic batcher and the fused
-    columnar path (:mod:`repro.dsp.fused`) rely on.
+    alone — the property the fused path (:mod:`repro.dsp.fused`)
+    relies on to match this staged formulation bit for bit.
     """
     signals = np.asarray(signals, dtype=float)
     if signals.ndim != 2:
-        raise ValueError(f"signals must be 2-D (rows, samples), got {signals.shape}")
+        raise ValidationError(f"signals must be 2-D (rows, samples), got {signals.shape}")
     check_positive("sampling_rate_hz", sampling_rate_hz)
     n_rows, n = signals.shape
     if n == 0 or n_rows == 0:
@@ -323,9 +327,9 @@ def global_polynomial_detrend(
     """
     signal = np.asarray(signal, dtype=float)
     if signal.ndim != 1:
-        raise ValueError(f"signal must be 1-D, got shape {signal.shape}")
+        raise ValidationError(f"signal must be 1-D, got shape {signal.shape}")
     if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+        raise ValidationError(f"order must be >= 0, got {order}")
     baseline = _fit_baseline(signal, order, n_iterations=3 if robust else 1)
     safe = np.where(np.abs(baseline) > 1e-12, baseline, 1e-12)
     return signal / safe

@@ -1,38 +1,31 @@
-"""Fused columnar DSP hot path (the Fig 14 bottleneck, vectorised).
+"""Fused DSP hot path (the Fig 14 bottleneck, vectorised).
 
 The staged pipeline the paper describes — lock-in demod output →
 piecewise detrend → ``1 - x`` → threshold → per-peak measurement —
-historically ran stage-at-a-time over per-object traces, materialising
-a fresh array at every stage and measuring each detected peak in a
-Python loop.  This module is the same pipeline as *one fused pass over
-a columnar batch*:
+historically ran stage-at-a-time, materialising a fresh array at every
+stage and measuring each detected peak in a Python loop.  This module
+is the same pipeline as *one fused pass over one trace*:
 
-* :class:`TraceBatch` — traces of one shape stacked into a single
-  contiguous ``(n_traces * n_channels, n_samples)`` matrix.  Per-trace
-  rows, and the per-channel "column" across the batch, are zero-copy
-  views; nothing is re-packed downstream.
-* :func:`fused_detect_batch` — detrend, invert, threshold and measure
-  the whole batch while materialising exactly one ``(rows, samples)``
-  dips buffer: the detrend blend accumulates into the output buffer,
-  the normalisation and ``1 - x`` inversion run in place on it, and
-  per-peak depth/width/amplitude measurement is replaced by
-  vectorised :func:`scipy.signal.peak_widths` plus one clipped
-  window-max gather per trace (no per-peak Python loop).
-* :func:`fused_detect` / :func:`fused_detect_many` — the single-trace
-  hot path and the mixed-shape front door used by
-  :meth:`~repro.dsp.peakdetect.PeakDetector.detect` /
-  :meth:`~repro.dsp.peakdetect.PeakDetector.detect_batch`, and
-  therefore by the serving batcher, the windowed streaming tier and
-  the sharded fleet.
+* :func:`fused_dips` — detrend and invert every channel while
+  materialising exactly one ``(n_channels, n_samples)`` dips buffer:
+  the detrend blend accumulates into the output buffer, and the
+  normalisation and ``1 - x`` inversion run in place on it.
+* :func:`fused_detect` — the single-trace hot path behind
+  :meth:`~repro.dsp.peakdetect.PeakDetector.detect`, and therefore
+  behind the cloud server and the sharded fleet.  Per-peak
+  depth/width/amplitude measurement is vectorised
+  :func:`scipy.signal.peak_widths` plus one clipped window-max gather
+  (no per-peak Python loop).
 
 Bit-identity contract
 ---------------------
 
 The fused pass must be *exactly* equal — same ``PeakReport`` tuples,
-bit-identical amplitudes — to the retained staged pipeline
+bit-identical amplitudes — to the staged pipeline kept in
+``tests/_dsp_oracle.py``
 (:func:`~repro.dsp.detrend.piecewise_polynomial_detrend_rows` followed
-by :meth:`~repro.dsp.peakdetect.PeakDetector._report_from_dips`).
-That holds by construction:
+by the oracle's per-peak ``report_from_dips`` loop).  That holds by
+construction:
 
 * both paths fit window baselines with the shared, per-row-independent
   :func:`~repro.dsp.detrend.fit_baseline_rows` kernel;
@@ -45,17 +38,17 @@ That holds by construction:
   (duplicated edge samples cannot change a max).
 
 ``tests/test_dsp_fused_differential.py`` enforces the contract against
-the staged oracle (``tests/_dsp_oracle.py``) over seeded trace
-families and hypothesis-generated shapes; ``benchmarks/bench_dsp.py``
-records the speedup in the ``BENCH_dsp.json`` trajectory.
+the staged oracle over seeded trace families and hypothesis-generated
+shapes; ``benchmarks/bench_dsp.py`` records the speedup in the
+``BENCH_dsp.json`` trajectory.
 """
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict
 
 import numpy as np
 from scipy import signal as sp_signal
 
+from repro._util.errors import ValidationError
 from repro._util.validation import check_positive
 from repro.dsp.detrend import DetrendConfig, fit_baseline_rows
 from repro.dsp.peakdetect import DetectedPeak, PeakReport
@@ -63,14 +56,7 @@ from repro.dsp.peakdetect import DetectedPeak, PeakReport
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.dsp.peakdetect import PeakDetector
 
-__all__ = [
-    "TraceBatch",
-    "fused_detect",
-    "fused_detect_batch",
-    "fused_detect_many",
-    "fused_dips",
-    "partition_traces",
-]
+__all__ = ["fused_detect", "fused_dips"]
 
 #: Per-length cache of the triangular blend taper (values identical to
 #: the staged path's per-window recomputation).
@@ -88,121 +74,6 @@ def _taper(length: int) -> np.ndarray:
             _TAPER_CACHE.pop(next(iter(_TAPER_CACHE)))
         _TAPER_CACHE[length] = taper
     return taper
-
-
-@dataclass(frozen=True)
-class TraceBatch:
-    """A shape-homogeneous batch in columnar layout.
-
-    ``data`` holds every trace's channels stacked trace-major into one
-    contiguous ``(n_traces * n_channels, n_samples)`` matrix; trace
-    ``i`` occupies rows ``[i * n_channels, (i + 1) * n_channels)``.
-    All accessors are zero-copy views into that one allocation.
-    """
-
-    data: np.ndarray
-    n_traces: int
-    n_channels: int
-    sampling_rate_hz: float
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=float)
-        if not data.flags.c_contiguous:
-            data = np.ascontiguousarray(data)
-        if data.ndim != 2:
-            raise ValueError(f"data must be 2-D, got shape {data.shape}")
-        if self.n_traces < 0 or self.n_channels < 1:
-            raise ValueError(
-                f"bad batch geometry: {self.n_traces} traces x "
-                f"{self.n_channels} channels"
-            )
-        if data.shape[0] != self.n_traces * self.n_channels:
-            raise ValueError(
-                f"data has {data.shape[0]} rows, expected "
-                f"{self.n_traces} traces x {self.n_channels} channels"
-            )
-        check_positive("sampling_rate_hz", self.sampling_rate_hz)
-        object.__setattr__(self, "data", data)
-
-    @classmethod
-    def from_traces(
-        cls, traces: Sequence[np.ndarray], sampling_rate_hz: float
-    ) -> "TraceBatch":
-        """Stack ``(n_channels, n_samples)`` traces of one shape."""
-        if not traces:
-            raise ValueError("from_traces needs at least one trace")
-        first = np.asarray(traces[0], dtype=float)
-        if first.ndim != 2:
-            raise ValueError(f"traces must be 2-D, got shape {first.shape}")
-        for trace in traces[1:]:
-            if np.asarray(trace).shape != first.shape:
-                raise ValueError(
-                    f"mixed shapes in one batch: {np.asarray(trace).shape} "
-                    f"vs {first.shape}; use partition_traces"
-                )
-        if len(traces) == 1:
-            data = first
-        else:
-            data = np.concatenate(
-                [np.asarray(trace, dtype=float) for trace in traces], axis=0
-            )
-        return cls(
-            data=data,
-            n_traces=len(traces),
-            n_channels=first.shape[0],
-            sampling_rate_hz=float(sampling_rate_hz),
-        )
-
-    @property
-    def n_samples(self) -> int:
-        return self.data.shape[1]
-
-    def trace(self, index: int) -> np.ndarray:
-        """Zero-copy ``(n_channels, n_samples)`` view of one trace."""
-        if not 0 <= index < self.n_traces:
-            raise IndexError(f"trace {index} out of range for {self.n_traces}")
-        lo = index * self.n_channels
-        return self.data[lo : lo + self.n_channels]
-
-    def channel_rows(self, channel: int) -> np.ndarray:
-        """Zero-copy ``(n_traces, n_samples)`` view of one channel."""
-        if not 0 <= channel < self.n_channels:
-            raise IndexError(
-                f"channel {channel} out of range for {self.n_channels}"
-            )
-        return self.data[channel :: self.n_channels]
-
-
-def partition_traces(
-    traces: Sequence[np.ndarray], sampling_rates_hz: Sequence[float]
-) -> List[Tuple[TraceBatch, List[int]]]:
-    """Group mixed-shape traces into columnar batches.
-
-    Traces sharing ``(n_channels, n_samples, rate)`` are stacked into
-    one :class:`TraceBatch`; each group carries the input positions of
-    its members so callers can reassemble results in submission order.
-    Groups appear in order of first member.
-    """
-    if len(traces) != len(sampling_rates_hz):
-        raise ValueError(
-            f"{len(traces)} traces but {len(sampling_rates_hz)} sampling rates"
-        )
-    groups: Dict[Tuple[int, int, float], List[int]] = {}
-    arrays = [np.asarray(trace, dtype=float) for trace in traces]
-    for position, (trace, rate) in enumerate(zip(arrays, sampling_rates_hz)):
-        if trace.ndim != 2:
-            raise ValueError(
-                f"trace {position} must be 2-D (channels, samples), "
-                f"got {trace.shape}"
-            )
-        groups.setdefault((*trace.shape, float(rate)), []).append(position)
-    return [
-        (
-            TraceBatch.from_traces([arrays[p] for p in members], rate),
-            members,
-        )
-        for (_, _, rate), members in groups.items()
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +123,6 @@ def fused_dips(
     return dips
 
 
-def _empty_report(sampling_rate_hz: float, detection_channel: int) -> PeakReport:
-    return PeakReport((), 0.0, sampling_rate_hz, detection_channel)
-
-
 def _measure_trace(
     dips: np.ndarray,
     sampling_rate_hz: float,
@@ -265,7 +132,7 @@ def _measure_trace(
 ) -> PeakReport:
     """Threshold one trace's dips and measure every peak, vectorised.
 
-    Mirrors :meth:`PeakDetector._report_from_dips` exactly, with the
+    Mirrors the staged oracle's ``report_from_dips`` exactly, with the
     per-peak Python loop replaced by one clipped window-max gather:
     peak ``p``'s staged amplitude is ``dips[:, max(p-h,0):min(p+h+1,n)]
     .max(axis=1)``; gathering ``clip(p-h .. p+h, 0, n-1)`` instead
@@ -302,76 +169,35 @@ def _measure_trace(
     return PeakReport(peaks, duration_s, sampling_rate_hz, detection_channel)
 
 
-def fused_detect_batch(
-    detector: "PeakDetector", batch: TraceBatch
-) -> List[PeakReport]:
-    """One fused pass over a columnar batch; reports in batch order.
-
-    Bit-identical to running the staged pipeline on each trace alone
-    (see the module docstring for why), which is the guarantee the
-    serving batcher, the windowed streaming tier and the sharded fleet
-    all inherit.
-    """
-    if detector.detection_channel >= batch.n_channels:
-        raise ValueError(
-            f"detection_channel {detector.detection_channel} out of range "
-            f"for {batch.n_channels}-channel batch"
-        )
-    if batch.n_samples == 0:
-        return [
-            _empty_report(batch.sampling_rate_hz, detector.detection_channel)
-            for _ in range(batch.n_traces)
-        ]
-    dips = fused_dips(batch.data, batch.sampling_rate_hz, detector.detrend)
-    distance = max(
-        int(round(detector.min_separation_s * batch.sampling_rate_hz)), 1
-    )
-    reports = []
-    for index in range(batch.n_traces):
-        lo = index * batch.n_channels
-        reports.append(
-            _measure_trace(
-                dips[lo : lo + batch.n_channels],
-                batch.sampling_rate_hz,
-                detector.depth_threshold,
-                distance,
-                detector.detection_channel,
-            )
-        )
-    return reports
-
-
 def fused_detect(
     detector: "PeakDetector", trace: np.ndarray, sampling_rate_hz: float
 ) -> PeakReport:
-    """Single-trace hot path: a one-trace columnar batch, one pass."""
-    trace = np.asarray(trace, dtype=float)
-    batch = TraceBatch(
-        data=trace,
-        n_traces=1,
-        n_channels=trace.shape[0],
-        sampling_rate_hz=float(sampling_rate_hz),
-    )
-    return fused_detect_batch(detector, batch)[0]
+    """Detrend, invert, threshold and measure one trace in one pass.
 
-
-def fused_detect_many(
-    detector: "PeakDetector",
-    traces: Sequence[np.ndarray],
-    sampling_rates_hz: Sequence[float],
-) -> List[PeakReport]:
-    """Mixed-shape batch front door: partition, fuse, reassemble.
-
-    Results come back in submission order regardless of how the shape
-    groups interleave; every position is filled exactly once (no
-    placeholder sentinels anywhere in the assembly).
+    ``trace`` is ``(n_channels, n_samples)``.  It is normalised to a
+    C-contiguous float64 array first, so the kernel sees one memory
+    layout whatever the caller passed (a strided slice, Fortran order).
     """
-    ordered: Dict[int, PeakReport] = {}
-    for batch, positions in partition_traces(traces, sampling_rates_hz):
-        for report, position in zip(fused_detect_batch(detector, batch), positions):
-            ordered[position] = report
-    if len(ordered) != len(traces):
-        raise AssertionError(
-            f"assembled {len(ordered)} reports for {len(traces)} traces"
+    trace = np.ascontiguousarray(trace, dtype=float)
+    if trace.ndim != 2:
+        raise ValidationError(
+            f"trace must be 2-D (channels, samples), got {trace.shape}"
         )
-    return [ordered[position] for position in range(len(traces))]
+    check_positive("sampling_rate_hz", sampling_rate_hz)
+    sampling_rate_hz = float(sampling_rate_hz)
+    if detector.detection_channel >= trace.shape[0]:
+        raise ValidationError(
+            f"detection_channel {detector.detection_channel} out of range "
+            f"for {trace.shape[0]}-channel trace"
+        )
+    if trace.shape[1] == 0:
+        return PeakReport((), 0.0, sampling_rate_hz, detector.detection_channel)
+    dips = fused_dips(trace, sampling_rate_hz, detector.detrend)
+    distance = max(int(round(detector.min_separation_s * sampling_rate_hz)), 1)
+    return _measure_trace(
+        dips,
+        sampling_rate_hz,
+        detector.depth_threshold,
+        distance,
+        detector.detection_channel,
+    )

@@ -8,18 +8,17 @@ separation.  Each detected peak records its timestamp, depth, FWHM and
 its per-carrier amplitude vector, which is everything the decryptor and
 the authentication classifier consume.
 
-:meth:`PeakDetector.detect` and :meth:`PeakDetector.detect_batch` run
-on the fused columnar pass in :mod:`repro.dsp.fused`; the staged
-formulation is retained here (:meth:`PeakDetector._report_from_dips`)
-as the differential-test oracle (``tests/_dsp_oracle.py``).
+:meth:`PeakDetector.detect` runs on the fused single-trace pass in
+:mod:`repro.dsp.fused`; the staged formulation it replaced lives on as
+the differential-test oracle (``tests/_dsp_oracle.py``).
 """
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
-from scipy import signal as sp_signal
 
+from repro._util.errors import ValidationError
 from repro._util.validation import check_positive
 from repro.dsp.detrend import DetrendConfig
 
@@ -104,90 +103,19 @@ class PeakDetector:
         check_positive("depth_threshold", self.depth_threshold)
         check_positive("min_separation_s", self.min_separation_s)
         if self.detection_channel < 0:
-            raise ValueError("detection_channel must be >= 0")
+            raise ValidationError("detection_channel must be >= 0")
 
     # ------------------------------------------------------------------
     def detect(self, trace: np.ndarray, sampling_rate_hz: float) -> PeakReport:
         """Find peaks in a ``(n_channels, n_samples)`` voltage trace.
 
-        Runs the fused columnar pass (:func:`repro.dsp.fused.fused_detect`),
-        which is bit-identical to the staged detrend → ``1 - x`` →
-        :meth:`_report_from_dips` formulation it replaced.
+        Runs the fused pass (:func:`repro.dsp.fused.fused_detect`), which
+        is bit-identical to the staged detrend → ``1 - x`` → threshold →
+        measure formulation it replaced.  Refuses (typed
+        :class:`~repro._util.errors.ValidationError`) a trace that is not
+        2-D, a non-positive rate, and a detection channel the trace lacks.
         """
-        trace = self._validate(trace, sampling_rate_hz)
         return _fused.fused_detect(self, trace, sampling_rate_hz)
-
-    def detect_batch(
-        self,
-        traces: Sequence[np.ndarray],
-        sampling_rates_hz: Union[float, Sequence[float]],
-    ) -> List[PeakReport]:
-        """Find peaks in many traces with one fused columnar pass.
-
-        Traces sharing a shape and sampling rate are stacked into one
-        columnar :class:`~repro.dsp.fused.TraceBatch` and carried
-        through detrend → ``1 - x`` → threshold → measurement in a
-        single pass (:func:`repro.dsp.fused.fused_detect_many`),
-        amortising the window bookkeeping over the whole batch.
-        Reports come back in input order and are bit-identical to
-        calling :meth:`detect` on each trace alone — the serving
-        stack's batcher depends on that equivalence.
-        """
-        if np.isscalar(sampling_rates_hz):
-            rates = [float(sampling_rates_hz)] * len(traces)
-        else:
-            rates = [float(rate) for rate in sampling_rates_hz]
-        if len(rates) != len(traces):
-            raise ValueError(
-                f"{len(traces)} traces but {len(rates)} sampling rates"
-            )
-        validated = [
-            self._validate(trace, rate) for trace, rate in zip(traces, rates)
-        ]
-        return _fused.fused_detect_many(self, validated, rates)
-
-    # ------------------------------------------------------------------
-    def _validate(self, trace: np.ndarray, sampling_rate_hz: float) -> np.ndarray:
-        trace = np.asarray(trace, dtype=float)
-        if trace.ndim != 2:
-            raise ValueError(f"trace must be 2-D (channels, samples), got {trace.shape}")
-        check_positive("sampling_rate_hz", sampling_rate_hz)
-        if self.detection_channel >= trace.shape[0]:
-            raise ValueError(
-                f"detection_channel {self.detection_channel} out of range for "
-                f"{trace.shape[0]}-channel trace"
-            )
-        return trace
-
-    def _report_from_dips(self, dips: np.ndarray, sampling_rate_hz: float) -> PeakReport:
-        """Threshold one trace's positive-dip matrix into a report."""
-        n_samples = dips.shape[1]
-        duration_s = n_samples / sampling_rate_hz
-        detection = dips[self.detection_channel]
-        distance = max(int(round(self.min_separation_s * sampling_rate_hz)), 1)
-        indices, properties = sp_signal.find_peaks(
-            detection, height=self.depth_threshold, distance=distance
-        )
-        if indices.size == 0:
-            return PeakReport((), duration_s, sampling_rate_hz, self.detection_channel)
-
-        widths_samples = sp_signal.peak_widths(detection, indices, rel_height=0.5)[0]
-        peaks = []
-        half_window = max(distance // 2, 1)
-        for index, height, width in zip(indices, properties["peak_heights"], widths_samples):
-            lo = max(index - half_window, 0)
-            hi = min(index + half_window + 1, n_samples)
-            amplitudes = dips[:, lo:hi].max(axis=1)
-            peaks.append(
-                DetectedPeak(
-                    time_s=index / sampling_rate_hz,
-                    depth=float(height),
-                    width_s=float(width / sampling_rate_hz),
-                    amplitudes=amplitudes,
-                    sample_index=int(index),
-                )
-            )
-        return PeakReport(tuple(peaks), duration_s, sampling_rate_hz, self.detection_channel)
 
 
 # Imported at the bottom: repro.dsp.fused needs DetectedPeak/PeakReport

@@ -35,13 +35,13 @@ class CsvRecordingModel:
 
     def __post_init__(self) -> None:
         if self.decimals < 1 or self.timestamp_decimals < 1:
-            raise ValueError("decimal counts must be >= 1")
+            raise ValidationError("decimal counts must be >= 1")
 
     def encode(self, trace: np.ndarray, sampling_rate_hz: float) -> bytes:
         """Encode a ``(n_channels, n_samples)`` trace to CSV bytes."""
         trace = np.asarray(trace, dtype=float)
         if trace.ndim != 2:
-            raise ValueError(f"trace must be 2-D, got shape {trace.shape}")
+            raise ValidationError(f"trace must be 2-D, got shape {trace.shape}")
         check_positive("sampling_rate_hz", sampling_rate_hz)
         n_channels, n_samples = trace.shape
         buffer = io.StringIO()
@@ -126,7 +126,7 @@ class CsvRecordingModel:
         channel (sign-less '0.' + decimals + comma), plus the newline.
         """
         if n_channels < 1:
-            raise ValueError("n_channels must be >= 1")
+            raise ValidationError("n_channels must be >= 1")
         timestamp_bytes = 6 + self.timestamp_decimals
         channel_bytes = 3 + self.decimals
         return timestamp_bytes + n_channels * channel_bytes + 1
@@ -144,12 +144,12 @@ class CsvRecordingModel:
 def compressed_size_bytes(payload: bytes, level: int = 6) -> int:
     """DEFLATE-compressed size of ``payload`` (the phone's zip step)."""
     if not 0 <= level <= 9:
-        raise ValueError(f"level must be in 0..9, got {level}")
+        raise ValidationError(f"level must be in 0..9, got {level}")
     return len(zlib.compress(payload, level))
 
 
 def compression_ratio(payload: bytes, level: int = 6) -> float:
     """Compressed / raw size ratio; the paper reports ~0.4 on captures."""
     if not payload:
-        raise ValueError("payload must be non-empty")
+        raise ValidationError("payload must be non-empty")
     return compressed_size_bytes(payload, level) / len(payload)

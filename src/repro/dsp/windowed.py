@@ -17,8 +17,8 @@ module provides that, in three layers:
   columns of the one-shot output.
 * :class:`ExactPeakStream` — an incremental reimplementation of the
   exact subset of :func:`scipy.signal.find_peaks` /
-  :func:`scipy.signal.peak_widths` semantics that
-  :meth:`PeakDetector._report_from_dips` relies on (local maxima with
+  :func:`scipy.signal.peak_widths` semantics that the one-shot
+  measurement (:mod:`repro.dsp.fused`) relies on (local maxima with
   plateau midpoints, height filter, distance selection, prominence
   bases with ``wlen=-1``, half-prominence width interpolation).  It
   consumes finalized dip columns and emits peaks as soon as their
@@ -237,9 +237,9 @@ class _MonotoneStack:
 class ExactPeakStream:
     """Incremental exact peak extraction over finalized dip columns.
 
-    Mirrors, operation for operation, what
-    :meth:`PeakDetector._report_from_dips` computes with scipy on the
-    full dips matrix.  ``feed`` accepts ``(n_channels, k)`` blocks of
+    Mirrors, operation for operation, what the one-shot measurement
+    (:mod:`repro.dsp.fused`) computes with scipy on the full dips
+    matrix.  ``feed`` accepts ``(n_channels, k)`` blocks of
     finalized dips; ``finish`` returns the :class:`PeakReport`.
     """
 

@@ -4,7 +4,7 @@
 :class:`~repro.fleet.cluster.FleetCluster` spawns into each worker
 **process**.  A shard owns a full vertical slice of the single-process
 serving stack — its own :class:`~repro.serving.scheduler.FleetScheduler`
-(thread pool, batcher, authenticator, circuit breaker), its own
+(thread pool, authenticator, circuit breaker), its own
 :class:`~repro.cloud.server.AnalysisServer`, and its own *partition* of
 the record store, optionally journaled for crash recovery — and drains
 framed messages (:mod:`repro.fleet.transport`) from the parent.

@@ -47,7 +47,6 @@ LOAD_SHED = "serve.load_shed"
 CIRCUIT_OPENED = "serve.circuit_opened"
 CIRCUIT_HALF_OPEN = "serve.circuit_half_open"
 CIRCUIT_CLOSED = "serve.circuit_closed"
-BATCH_FLUSHED = "serve.batch_flushed"
 
 # Guard kinds (repro.guard; see docs/security.md)
 GUARD_REJECTED = "guard.rejected"
@@ -119,7 +118,6 @@ KNOWN_KINDS = frozenset(
         CIRCUIT_OPENED,
         CIRCUIT_HALF_OPEN,
         CIRCUIT_CLOSED,
-        BATCH_FLUSHED,
         GUARD_REJECTED,
         REPLAY_DETECTED,
         STALE_EPOCH_REJECTED,

@@ -14,8 +14,7 @@ allocated from a per-tracer counter (never an RNG, never
 ``os.urandom``), so tracing is fully deterministic and cannot perturb
 any pipeline random stream.  A span opened with ``remote_parent=``
 adopts the remote trace id and records the cross-process parent link;
-``links=`` attaches additional related contexts (e.g. the riders of a
-coalesced batch).  The Chrome exporter renders remote parents and
+``links=`` attaches additional related contexts.  The Chrome exporter renders remote parents and
 links as flow events (``"ph": "s"/"f"``) so the whole fleet stitches
 into one picture, and maps a span's ``service`` attribute onto the
 Chrome ``pid`` lane with ``process_name`` metadata.

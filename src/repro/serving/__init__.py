@@ -19,20 +19,16 @@ stack that can sustain that load:
 * :mod:`repro.serving.client` — the resilient cloud client applying
   that policy over the lossy relay
   (:class:`repro.cloud.network.UnreliableNetworkModel`);
-* :mod:`repro.serving.batcher` — a dynamic batcher that coalesces
-  queued traces into one vectorised detrend+threshold pass
-  (max-batch-size / max-linger knobs, like an inference server);
 * :mod:`repro.serving.scheduler` — the thread-pool
   :class:`FleetScheduler` tying it all together;
 * :mod:`repro.serving.workload` — synthetic clinic workloads and the
   throughput/latency report behind ``python -m repro serve``.
 
 Everything is instrumented through :mod:`repro.obs` (queue-depth
-gauge, batch-size and end-to-end latency histograms, retry / shed /
+gauge, end-to-end latency histograms, retry / shed /
 circuit audit events).  See ``docs/serving.md``.
 """
 
-from repro.serving.batcher import BatchingAnalysisServer
 from repro.serving.client import ResilientAnalysisClient, RetryBudgetExceeded
 from repro.serving.queue import FairSubmissionQueue, QueueFull
 from repro.serving.request import (
@@ -59,7 +55,6 @@ from repro.serving.scheduler import (
 from repro.serving.workload import ClinicReport, ClinicWorkload, run_clinic
 
 __all__ = [
-    "BatchingAnalysisServer",
     "ResilientAnalysisClient",
     "RetryBudgetExceeded",
     "FairSubmissionQueue",

@@ -1,8 +1,8 @@
 """Resilient cloud client: retry, deadline, and load shedding.
 
 :class:`ResilientAnalysisClient` wraps an analysis backend (the shared
-:class:`~repro.cloud.server.AnalysisServer` or the serving batcher)
-behind the lossy link model.  Each ``analyze`` call:
+:class:`~repro.cloud.server.AnalysisServer`) behind the lossy link
+model.  Each ``analyze`` call:
 
 1. asks the circuit breaker for admission (shed with
    :class:`~repro.serving.retry.CircuitOpenError` if open);
@@ -26,7 +26,7 @@ The client quacks like an :class:`~repro.cloud.server.AnalysisServer`
 works through it — the phone never learns retries exist.
 """
 
-from typing import List, Optional
+from typing import Optional
 
 from repro._util.errors import AdmissionError, MedSenError
 from repro._util.rng import RngLike, ensure_rng
@@ -71,7 +71,7 @@ class ResilientAnalysisClient:
     Parameters
     ----------
     backend:
-        The real analysis service (server or batcher); called only for
+        The real analysis service; called only for
         attempts the link actually delivers.
     link:
         The lossy network; ``None`` or a reliable link short-circuits
@@ -232,10 +232,6 @@ class ResilientAnalysisClient:
             f"(last: {last_error})",
             last_error=last_error,
         )
-
-    def analyze_batch(self, traces) -> List:
-        """Pass-through batch analysis (the batcher sits behind us)."""
-        return self.backend.analyze_batch(traces)
 
     # ------------------------------------------------------------------
     def _mint(self) -> Optional[bytes]:

@@ -3,8 +3,8 @@
 :class:`FleetScheduler` is the serving stack's centrepiece.  It owns
 the shared deployment state — one :class:`~repro.core.config.MedSenConfig`,
 one enrolled classifier, one :class:`~repro.auth.authenticator.ServerAuthenticator`,
-one :class:`~repro.cloud.storage.RecordStore`, one (optionally
-batching) :class:`~repro.cloud.server.AnalysisServer`, one fleet-wide
+one :class:`~repro.cloud.storage.RecordStore`, one
+:class:`~repro.cloud.server.AnalysisServer`, one fleet-wide
 circuit breaker — and a pool of worker threads draining the fair
 submission queue.
 
@@ -57,7 +57,6 @@ from repro.obs import (
 )
 from repro.particles.library import get_particle_type
 from repro.particles.sample import Sample
-from repro.serving.batcher import BatchingAnalysisServer
 from repro.serving.client import ResilientAnalysisClient
 from repro.serving.queue import FairSubmissionQueue, QueueFull
 from repro.serving.request import (
@@ -105,8 +104,6 @@ class FleetConfig:
         Worker threads draining the queue (1 = the serial baseline).
     queue_capacity:
         Bound on the submission queue (backpressure threshold).
-    batch_size, batch_linger_s:
-        Dynamic batching knobs; ``batch_size=1`` disables the batcher.
     network:
         The uplink model shared by every phone in the fleet.
     drop_probability, timeout_probability, duplicate_probability,
@@ -156,8 +153,6 @@ class FleetConfig:
     seed: int = 0
     n_workers: int = 4
     queue_capacity: int = 64
-    batch_size: int = 1
-    batch_linger_s: float = 0.02
     network: NetworkModel = field(default_factory=NetworkModel)
     drop_probability: float = 0.0
     timeout_probability: float = 0.0
@@ -182,8 +177,6 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.poison_threshold < 1:
             raise ValueError(
                 f"poison_threshold must be >= 1, got {self.poison_threshold}"
@@ -243,15 +236,6 @@ class FleetScheduler:
             ),
             transit_secret=config.freshness_secret,
         )
-        if config.batch_size > 1:
-            self.backend = BatchingAnalysisServer(
-                self.server,
-                max_batch_size=config.batch_size,
-                max_linger_s=config.batch_linger_s,
-                observer=observer,
-            )
-        else:
-            self.backend = self.server
         self.authenticator = ServerAuthenticator(
             self.device_config.alphabet,
             observer=observer,
@@ -609,7 +593,7 @@ class FleetScheduler:
         ``(seed, tenant, tenant_sequence)`` — the same coordinates as
         the request RNG, but via a separate BLAKE2b hash, so tracing
         never touches a pipeline random stream.  Every downstream span
-        (device capture, relay, cloud analysis, batching) nests under
+        (device capture, relay, cloud analysis) nests under
         or links to this trace, stitching the fleet run together.
         """
         root = derive_trace_context(
@@ -642,7 +626,7 @@ class FleetScheduler:
         )
         phone = Smartphone(network=self.config.network, observer=self.observer)
         client = ResilientAnalysisClient(
-            self.backend,
+            self.server,
             link=self.link,
             policy=self.config.retry,
             breaker=self.breaker,

@@ -6,9 +6,8 @@ submitting a stream of diagnostic requests with their own disease
 stage (marker concentration baseline).  :func:`run_clinic` drives a
 :class:`~repro.serving.scheduler.FleetScheduler` through the workload
 and distils a :class:`ClinicReport` — sessions/sec, latency
-percentiles, retry/shed/reject counts, batching behaviour — which
-backs both ``python -m repro serve`` and
-``benchmarks/bench_throughput.py``.
+percentiles, retry/shed/reject counts — which backs both
+``python -m repro serve`` and ``benchmarks/bench_throughput.py``.
 
 Workload generation is deterministic: samples and identifiers come
 from ``derive_request_rng(seed, tenant, sequence)``-style child
@@ -124,8 +123,6 @@ class ClinicReport:
     sheds: int = 0
     duplicates: int = 0
     breaker_opens: int = 0
-    batches_flushed: int = 0
-    mean_batch_size: float = 0.0
     failures_by_type: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -153,11 +150,6 @@ class ClinicReport:
             f"{self.duplicates} duplicate deliveries, "
             f"{self.breaker_opens} breaker trips",
         ]
-        if self.batches_flushed:
-            lines.append(
-                f"batching      {self.batches_flushed} batches, "
-                f"mean size {self.mean_batch_size:.2f}"
-            )
         if self.failures_by_type:
             summary = ", ".join(
                 f"{name}×{count}" for name, count in sorted(self.failures_by_type.items())
@@ -221,9 +213,6 @@ def run_clinic(
     report.sheds = _counter(scheduler, "serve.sheds")
     report.duplicates = _counter(scheduler, "serve.duplicate_deliveries")
     report.breaker_opens = scheduler.breaker.times_opened
-    backend = scheduler.backend
-    report.batches_flushed = getattr(backend, "batches_flushed", 0)
-    report.mean_batch_size = getattr(backend, "mean_batch_size", 0.0)
     return report
 
 

@@ -4,8 +4,8 @@
 :class:`~repro.obs.observer.Observer` that additionally routes every
 ``observe()`` through the :class:`~repro.telemetry.slo.SloEngine`'s
 latency hook.  Components instrumented against the plain observer API
-pick this up without change — the fleet scheduler, batcher, cloud
-server and authenticator never learn telemetry exists.
+pick this up without change — the fleet scheduler, cloud server and
+authenticator never learn telemetry exists.
 
 :func:`render_dashboard` is a pure function from (metrics, SLO engine,
 now) to a fixed-width text frame, so the ``repro top`` output

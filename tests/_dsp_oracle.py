@@ -1,14 +1,15 @@
 """Staged-pipeline oracle for differential DSP tests.
 
-The fused columnar pass (:mod:`repro.dsp.fused`) claims *exact*
-equality — same ``PeakReport`` structure, bit-identical floats — with
-the staged formulation it replaced: detrend the whole trace
+The fused pass (:mod:`repro.dsp.fused`) claims *exact* equality — same
+``PeakReport`` structure, bit-identical floats — with the staged
+formulation it replaced: detrend the whole trace
 (:func:`piecewise_polynomial_detrend_rows`), invert (``1 - x``), then
-threshold and measure (:meth:`PeakDetector._report_from_dips`).  This
-module is that staged path, kept as an executable reference, plus the
-strict comparators the differential suites
-(``test_dsp_fused_differential.py``, ``test_dsp_fused_properties.py``,
-``test_dsp_golden.py``) and ``benchmarks/bench_dsp.py`` assert with.
+threshold and measure each peak in a Python loop
+(:func:`report_from_dips`).  This module is that staged path, kept as
+an executable reference, plus the strict comparators the differential
+suites (``test_dsp_fused_differential.py``,
+``test_dsp_fused_properties.py``, ``test_dsp_golden.py``) and
+``benchmarks/bench_dsp.py`` assert with.
 
 Convention: any future change to the hot path must keep
 ``staged_detect`` (the oracle) and ``PeakDetector.detect`` (the
@@ -19,41 +20,58 @@ output for the paper-figure traces.
 
 import hashlib
 import struct
-from typing import List, Sequence, Union
 
 import numpy as np
+from scipy import signal as sp_signal
 
 from repro.dsp.detrend import piecewise_polynomial_detrend_rows
-from repro.dsp.peakdetect import PeakDetector, PeakReport
+from repro.dsp.peakdetect import DetectedPeak, PeakDetector, PeakReport
 
 
 def staged_detect(
     detector: PeakDetector, trace: np.ndarray, sampling_rate_hz: float
 ) -> PeakReport:
     """The retained stage-at-a-time pipeline (the differential oracle)."""
-    trace = detector._validate(trace, sampling_rate_hz)
+    trace = np.asarray(trace, dtype=float)
     if trace.shape[1] == 0:
         return PeakReport((), 0.0, sampling_rate_hz, detector.detection_channel)
     dips = 1.0 - piecewise_polynomial_detrend_rows(
         trace, sampling_rate_hz, detector.detrend
     )
-    return detector._report_from_dips(dips, sampling_rate_hz)
+    return report_from_dips(detector, dips, sampling_rate_hz)
 
 
-def staged_detect_batch(
-    detector: PeakDetector,
-    traces: Sequence[np.ndarray],
-    sampling_rates_hz: Union[float, Sequence[float]],
-) -> List[PeakReport]:
-    """Serial oracle for ``detect_batch``: one staged pass per trace."""
-    if np.isscalar(sampling_rates_hz):
-        rates = [float(sampling_rates_hz)] * len(traces)
-    else:
-        rates = [float(rate) for rate in sampling_rates_hz]
-    return [
-        staged_detect(detector, trace, rate)
-        for trace, rate in zip(traces, rates)
-    ]
+def report_from_dips(
+    detector: PeakDetector, dips: np.ndarray, sampling_rate_hz: float
+) -> PeakReport:
+    """Threshold one trace's positive-dip matrix and measure peak by peak."""
+    n_samples = dips.shape[1]
+    duration_s = n_samples / sampling_rate_hz
+    detection = dips[detector.detection_channel]
+    distance = max(int(round(detector.min_separation_s * sampling_rate_hz)), 1)
+    indices, properties = sp_signal.find_peaks(
+        detection, height=detector.depth_threshold, distance=distance
+    )
+    if indices.size == 0:
+        return PeakReport((), duration_s, sampling_rate_hz, detector.detection_channel)
+
+    widths_samples = sp_signal.peak_widths(detection, indices, rel_height=0.5)[0]
+    peaks = []
+    half_window = max(distance // 2, 1)
+    for index, height, width in zip(indices, properties["peak_heights"], widths_samples):
+        lo = max(index - half_window, 0)
+        hi = min(index + half_window + 1, n_samples)
+        amplitudes = dips[:, lo:hi].max(axis=1)
+        peaks.append(
+            DetectedPeak(
+                time_s=index / sampling_rate_hz,
+                depth=float(height),
+                width_s=float(width / sampling_rate_hz),
+                amplitudes=amplitudes,
+                sample_index=int(index),
+            )
+        )
+    return PeakReport(tuple(peaks), duration_s, sampling_rate_hz, detector.detection_channel)
 
 
 # ---------------------------------------------------------------------------

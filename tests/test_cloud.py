@@ -1,5 +1,7 @@
 """Cloud side: analysis server, record store, network model."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,20 @@ class TestAnalysisServer:
         assert server.total_processing_time_s > 0
         assert server.jobs_processed == 1
         assert server.last_job().processing_time_s > 0
+
+    def test_per_thread_processing_time_visible(self):
+        server = AnalysisServer()
+        assert server.last_processing_time_s is None
+        server.analyze(make_trace())
+        assert server.last_processing_time_s > 0
+        # Thread-local: a thread that ran no job of its own sees None.
+        seen = []
+        reader = threading.Thread(
+            target=lambda: seen.append(server.last_processing_time_s)
+        )
+        reader.start()
+        reader.join()
+        assert seen == [None]
 
     def test_curious_server_keeps_history(self):
         server = AnalysisServer()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._util.errors import ValidationError
 from repro.dsp.detrend import (
     DetrendConfig,
     _fit_baseline,
@@ -77,15 +78,15 @@ class TestPiecewiseDetrend:
         assert piecewise_polynomial_detrend(np.array([]), 450.0).shape == (0,)
 
     def test_two_dimensional_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             piecewise_polynomial_detrend(np.ones((2, 100)), 450.0)
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError):
             DetrendConfig(window_s=-1.0)
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError):
             DetrendConfig(overlap_fraction=0.95)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             DetrendConfig(order=-1)
 
 
@@ -123,9 +124,9 @@ class TestGlobalDetrendAblation:
         assert depth_error(piecewise) < depth_error(high)
 
     def test_global_invalid_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             global_polynomial_detrend(np.ones((2, 2)), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             global_polynomial_detrend(np.ones(10), -1)
 
 
@@ -185,9 +186,9 @@ class TestFitBaselineRows:
         np.testing.assert_array_equal(short, np.full((2, 2), 5.0))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             fit_baseline_rows(np.ones(10), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             fit_baseline_rows(np.ones((2, 10)), -1)
 
     def test_solve_rows_singular_fallback(self):

@@ -1,30 +1,27 @@
-"""Differential harness: fused columnar pass vs the staged oracle.
+"""Differential harness: fused pass vs the staged oracle.
 
-Every test runs the shipped hot path (``PeakDetector.detect`` /
-``detect_batch``, which delegate to :mod:`repro.dsp.fused`) and the
-retained stage-at-a-time pipeline (``tests/_dsp_oracle.py``) over the
-same seeded traces and asserts *exact* ``PeakReport`` equality — peak
-counts, sample indices, and bit-identical floats.  The trace families
-mirror the workloads the system actually sees: paper-figure bead
-mixes through the full encrypt-acquire chain, cipher gain sweeps,
-electrode/carrier subsets, degenerate flats, and peaks engineered to
-straddle the depth threshold.
+Every test runs the shipped hot path (``PeakDetector.detect``, which
+delegates to :mod:`repro.dsp.fused`) and the retained stage-at-a-time
+pipeline (``tests/_dsp_oracle.py``) over the same seeded traces and
+asserts *exact* ``PeakReport`` equality — peak counts, sample indices,
+and bit-identical floats.  The trace families mirror the workloads the
+system actually sees: paper-figure bead mixes through the full
+encrypt-acquire chain, cipher gain sweeps, electrode/carrier subsets,
+degenerate flats, and peaks engineered to straddle the depth
+threshold.
 """
 
 import numpy as np
 import pytest
 
-from repro.dsp import PeakDetector, TraceBatch, fused_detect_batch, partition_traces
+from repro._util.errors import ValidationError
+from repro.dsp import PeakDetector, fused_detect
 from repro.experiments import acquire_particle_events, single_key_plan
 from repro.particles import BEAD_3P58, BEAD_7P8, BLOOD_CELL
 from repro.physics.noise import BaselineDriftModel, NoiseModel
 from repro.physics.peaks import PulseEvent, synthesize_pulse_train
 
-from tests._dsp_oracle import (
-    assert_reports_identical,
-    staged_detect,
-    staged_detect_batch,
-)
+from tests._dsp_oracle import assert_reports_identical, staged_detect
 
 
 def synthetic_trace(
@@ -166,118 +163,26 @@ class TestSyntheticFamilies:
         assert fused.count == 0
 
 
-class TestBatchDifferential:
-    def test_mixed_shape_batch_matches_serial_oracle(self):
-        rng = np.random.default_rng(17)
-        traces = []
-        for i in range(3):
-            centers = np.sort(rng.uniform(0.5, 9.5, size=8))
-            traces.append(
-                synthetic_trace(centers, rng.uniform(0.002, 0.01, 8),
-                                duration=10.0, n_channels=2, seed=i)
-            )
-        for i in range(2):
-            centers = np.sort(rng.uniform(0.5, 5.5, size=4))
-            traces.append(
-                synthetic_trace(centers, rng.uniform(0.002, 0.01, 4),
-                                duration=6.0, n_channels=3, seed=10 + i)
-            )
-        traces.append(np.empty((2, 0)))
-        order = [5, 0, 3, 1, 4, 2]
-        mixed = [traces[i] for i in order]
-        detector = PeakDetector()
-        batched = detector.detect_batch(mixed, 450.0)
-        oracle = staged_detect_batch(detector, mixed, 450.0)
-        assert len(batched) == len(mixed)
-        for index, (got, want) in enumerate(zip(batched, oracle)):
-            assert_reports_identical(got, want, context=f"batch position {index}")
+class TestSingleTraceKernel:
+    def test_fused_detect_rejects_bad_channel(self):
+        detector = PeakDetector(detection_channel=2)
+        with pytest.raises(ValidationError, match="detection_channel"):
+            fused_detect(detector, np.ones((2, 50)), 450.0)
 
-    def test_interleaved_shape_groups_preserve_order(self):
-        # Regression for the `[None] * len(validated)` placeholder era:
-        # two shape groups interleaved A B A B A B must come back in
-        # submission order, each position matching its own trace (the
-        # groups have different channel counts, so any swap is visible
-        # in the report itself, not just the peak data).
-        rng = np.random.default_rng(23)
-        mixed = []
-        for i in range(6):
-            n_channels = 2 if i % 2 == 0 else 4
-            centers = np.sort(rng.uniform(0.5, 7.5, size=i + 1))
-            mixed.append(
-                synthetic_trace(centers, rng.uniform(0.004, 0.012, i + 1),
-                                duration=8.0, n_channels=n_channels, seed=30 + i)
-            )
-        detector = PeakDetector()
-        batched = detector.detect_batch(mixed, 450.0)
-        serial = [detector.detect(trace, 450.0) for trace in mixed]
-        for index, (got, want) in enumerate(zip(batched, serial)):
-            assert got.peaks and got.peaks[0].amplitudes.shape == (
-                mixed[index].shape[0],
-            ), f"position {index} lost its channel count"
-            assert_reports_identical(got, want, context=f"interleaved position {index}")
-
-    def test_per_rate_grouping(self):
-        rng = np.random.default_rng(31)
+    def test_non_contiguous_input_matches_contiguous(self):
+        rng = np.random.default_rng(8)
+        centers = np.sort(rng.uniform(0.5, 9.5, size=10))
         trace = synthetic_trace(
-            np.sort(rng.uniform(0.5, 9.5, size=6)),
-            rng.uniform(0.003, 0.01, 6),
-            duration=10.0,
-            n_channels=2,
-            seed=40,
+            centers, rng.uniform(0.003, 0.012, 10), duration=10.0, seed=8
         )
         detector = PeakDetector()
-        rates = [450.0, 900.0, 450.0]
-        batched = detector.detect_batch([trace, trace, trace], rates)
-        oracle = staged_detect_batch(detector, [trace, trace, trace], rates)
-        for index, (got, want) in enumerate(zip(batched, oracle)):
-            assert_reports_identical(got, want, context=f"rate {rates[index]}")
-        assert batched[0].sampling_rate_hz == 450.0
-        assert batched[1].sampling_rate_hz == 900.0
-
-
-class TestColumnarLayout:
-    def test_trace_batch_views_are_zero_copy(self):
-        rng = np.random.default_rng(3)
-        traces = [rng.standard_normal((3, 100)) for _ in range(4)]
-        batch = TraceBatch.from_traces(traces, 450.0)
-        assert batch.data.shape == (12, 100)
-        assert batch.data.flags.c_contiguous
-        for index in range(4):
-            view = batch.trace(index)
-            assert view.base is batch.data
-            np.testing.assert_array_equal(view, traces[index])
-        channel = batch.channel_rows(1)
-        assert channel.shape == (4, 100)
-        assert channel.base is batch.data
-
-    def test_trace_batch_rejects_mixed_shapes(self):
-        with pytest.raises(ValueError, match="mixed shapes"):
-            TraceBatch.from_traces(
-                [np.ones((2, 10)), np.ones((3, 10))], 450.0
+        want = detector.detect(trace, 450.0)
+        assert want.count > 0
+        for label, layout in [
+            ("fortran", np.asfortranarray(trace)),
+            ("strided", np.repeat(trace, 2, axis=0)[::2]),
+        ]:
+            assert not layout.flags.c_contiguous
+            assert_reports_identical(
+                detector.detect(layout, 450.0), want, context=label
             )
-
-    def test_partition_groups_by_shape_and_rate(self):
-        traces = [
-            np.ones((2, 10)),
-            np.ones((3, 10)),
-            np.ones((2, 10)),
-            np.ones((2, 20)),
-        ]
-        rates = [450.0, 450.0, 900.0, 450.0]
-        groups = partition_traces(traces, rates)
-        keys = [
-            (batch.n_channels, batch.n_samples, batch.sampling_rate_hz, positions)
-            for batch, positions in groups
-        ]
-        assert keys == [
-            (2, 10, 450.0, [0]),
-            (3, 10, 450.0, [1]),
-            (2, 10, 900.0, [2]),
-            (2, 20, 450.0, [3]),
-        ]
-
-    def test_fused_detect_batch_rejects_bad_channel(self):
-        detector = PeakDetector(detection_channel=2)
-        batch = TraceBatch.from_traces([np.ones((2, 50))], 450.0)
-        with pytest.raises(ValueError, match="detection_channel"):
-            fused_detect_batch(detector, batch)

@@ -1,10 +1,10 @@
 """Property tests: the fused pass equals the staged oracle everywhere.
 
 Hypothesis drives the input space the seeded differential families
-can't enumerate: random trace shapes and sampling rates, random chunk
-splits through ``WindowedPeakDetector`` (which shares the fused
-kernel), and mixed-shape ``detect_batch`` groups including empty
-traces.  Every property asserts *exact* report equality against
+can't enumerate: random trace shapes (including empty traces) and
+sampling rates, and random chunk splits through
+``WindowedPeakDetector`` (which shares the fused kernel).  Every
+property asserts *exact* report equality against
 ``tests/_dsp_oracle.py``.
 """
 
@@ -15,11 +15,7 @@ from hypothesis import strategies as st
 from repro._util.rng import ensure_rng
 from repro.dsp import PeakDetector, WindowedPeakDetector
 
-from tests._dsp_oracle import (
-    assert_reports_identical,
-    staged_detect,
-    staged_detect_batch,
-)
+from tests._dsp_oracle import assert_reports_identical, staged_detect
 
 
 def random_trace(rng, n_channels, n_samples):
@@ -97,45 +93,3 @@ class TestWindowedSharesTheKernel:
         assert_reports_identical(
             detector.detect(trace, fs), oracle, context="one-shot"
         )
-
-
-class TestBatchProperties:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        shapes=st.lists(
-            st.tuples(
-                st.integers(min_value=1, max_value=4),   # channels
-                st.sampled_from([0, 1, 97, 450, 1800]),  # samples (incl. empty)
-            ),
-            min_size=1,
-            max_size=7,
-        ),
-    )
-    def test_mixed_shape_batches(self, seed, shapes):
-        rng = ensure_rng(seed)
-        traces = [random_trace(rng, ch, n) for ch, n in shapes]
-        detector = PeakDetector()
-        batched = detector.detect_batch(traces, 450.0)
-        oracle = staged_detect_batch(detector, traces, 450.0)
-        assert len(batched) == len(traces)
-        for index, (got, want) in enumerate(zip(batched, oracle)):
-            assert_reports_identical(
-                got, want, context=f"batch position {index} shape {shapes[index]}"
-            )
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        rates=st.lists(
-            st.sampled_from([450.0, 900.0, 1800.0]), min_size=1, max_size=5
-        ),
-    )
-    def test_per_trace_rates(self, seed, rates):
-        rng = ensure_rng(seed)
-        traces = [random_trace(rng, 2, 900) for _ in rates]
-        detector = PeakDetector()
-        batched = detector.detect_batch(traces, rates)
-        oracle = staged_detect_batch(detector, traces, rates)
-        for index, (got, want) in enumerate(zip(batched, oracle)):
-            assert_reports_identical(got, want, context=f"rate {rates[index]}")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._util.errors import ValidationError
 from repro.dsp.peakdetect import DetectedPeak, PeakDetector, PeakReport
 from repro.physics.noise import BaselineDriftModel, NoiseModel
 from repro.physics.peaks import PulseEvent, synthesize_pulse_train
@@ -106,16 +107,16 @@ class TestReport:
 
 class TestValidation:
     def test_one_dimensional_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             PeakDetector().detect(np.ones(100), 450.0)
 
     def test_detection_channel_out_of_range(self):
         detector = PeakDetector(detection_channel=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             detector.detect(np.ones((2, 100)), 450.0)
 
     def test_invalid_thresholds_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError):
             PeakDetector(depth_threshold=0.0)
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError):
             PeakDetector(min_separation_s=-1.0)

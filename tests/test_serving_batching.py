@@ -1,15 +1,10 @@
-"""Dynamic batching: equality with serial analysis, coalescing,
-linger flushes, and the bounded curious-server history."""
+"""The curious analysis server's bounded history: the retention cap,
+eviction accounting, and the disabled-history mode."""
 
-import threading
-
-import numpy as np
 import pytest
 
 from repro.cloud.server import AnalysisServer
-from repro.dsp.peakdetect import PeakDetector
-from repro.obs import BATCH_FLUSHED, EventLog, MetricsRegistry, Observer
-from repro.serving import BatchingAnalysisServer
+from repro.obs import EventLog, MetricsRegistry, Observer
 
 
 @pytest.fixture(scope="module")
@@ -26,103 +21,6 @@ def captured_traces():
         capture = device.run_capture(sample, duration_s=8.0, rng=seed)
         traces.append(capture.trace)
     return traces
-
-
-def reports_equal(left, right):
-    if left.count != right.count:
-        return False
-    for a, b in zip(left.peaks, right.peaks):
-        if (
-            a.time_s != b.time_s
-            or a.depth != b.depth
-            or a.width_s != b.width_s
-            or not np.array_equal(a.amplitudes, b.amplitudes)
-        ):
-            return False
-    return True
-
-
-class TestBatchEquality:
-    def test_detect_batch_bit_identical_to_serial(self, captured_traces):
-        detector = PeakDetector()
-        serial = [
-            detector.detect(t.voltages, t.sampling_rate_hz) for t in captured_traces
-        ]
-        batched = detector.detect_batch(
-            [t.voltages for t in captured_traces],
-            [t.sampling_rate_hz for t in captured_traces],
-        )
-        for left, right in zip(serial, batched):
-            assert reports_equal(left, right)
-
-    def test_detect_batch_handles_mixed_shapes(self):
-        detector = PeakDetector()
-        rng = np.random.default_rng(5)
-        short = 1.0 + 0.001 * rng.standard_normal((2, 4000))
-        long = 1.0 + 0.001 * rng.standard_normal((3, 8000))
-        batched = detector.detect_batch([short, long, short], 10_000.0)
-        assert reports_equal(
-            batched[0], detector.detect(short, 10_000.0)
-        )
-        assert reports_equal(batched[1], detector.detect(long, 10_000.0))
-        assert reports_equal(batched[2], batched[0])
-
-    def test_server_analyze_batch_matches_analyze(self, captured_traces):
-        serial_server = AnalysisServer()
-        batch_server = AnalysisServer()
-        serial = [serial_server.analyze(t) for t in captured_traces]
-        batched = batch_server.analyze_batch(captured_traces)
-        for left, right in zip(serial, batched):
-            assert reports_equal(left, right)
-        assert batch_server.jobs_processed == len(captured_traces)
-
-
-class TestBatchingAnalysisServer:
-    def test_concurrent_calls_coalesce_into_one_flush(self, captured_traces):
-        observer = Observer(metrics=MetricsRegistry(), events=EventLog())
-        server = AnalysisServer(observer=observer)
-        batcher = BatchingAnalysisServer(
-            server, max_batch_size=4, max_linger_s=2.0, observer=observer
-        )
-        results = [None] * 4
-
-        def call(index):
-            results[index] = batcher.analyze(captured_traces[index])
-
-        threads = [threading.Thread(target=call, args=(i,)) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(30)
-        assert batcher.batches_flushed == 1
-        assert batcher.mean_batch_size == 4.0
-        serial = AnalysisServer()
-        for trace, report in zip(captured_traces, results):
-            assert reports_equal(report, serial.analyze(trace))
-        flushes = [e for e in observer.events.events if e.kind == BATCH_FLUSHED]
-        assert len(flushes) == 1
-        assert flushes[0].field_dict()["size"] == 4
-        assert flushes[0].field_dict()["reason"] == "full"
-
-    def test_lone_caller_flushes_after_linger(self, captured_traces):
-        observer = Observer(metrics=MetricsRegistry(), events=EventLog())
-        server = AnalysisServer(observer=observer)
-        batcher = BatchingAnalysisServer(
-            server, max_batch_size=8, max_linger_s=0.01, observer=observer
-        )
-        report = batcher.analyze(captured_traces[0])
-        assert report.count > 0
-        assert batcher.batches_flushed == 1
-        flushes = [e for e in observer.events.events if e.kind == BATCH_FLUSHED]
-        assert flushes[0].field_dict()["reason"] == "linger"
-        assert flushes[0].field_dict()["size"] == 1
-
-    def test_per_thread_processing_time_visible(self, captured_traces):
-        server = AnalysisServer()
-        batcher = BatchingAnalysisServer(server, max_batch_size=2, max_linger_s=0.01)
-        assert batcher.last_processing_time_s is None
-        batcher.analyze(captured_traces[0])
-        assert batcher.last_processing_time_s > 0
 
 
 class TestBoundedHistory:

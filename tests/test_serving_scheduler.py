@@ -23,13 +23,12 @@ from repro.serving import (
 WORKLOAD = ClinicWorkload(n_tenants=2, requests_per_tenant=2, duration_s=8.0, seed=11)
 
 
-def fleet_outcomes(n_workers, batch_size=1, seed=11):
+def fleet_outcomes(n_workers, seed=11):
     """Run the shared workload; outcomes keyed by (tenant, sequence)."""
     config = FleetConfig(
         seed=seed,
         n_workers=n_workers,
         queue_capacity=WORKLOAD.n_requests,
-        batch_size=batch_size,
     )
     outcomes = {}
     with FleetScheduler(config) as scheduler:
@@ -70,11 +69,6 @@ class TestDeterminism:
         serial = fleet_outcomes(n_workers=1)
         pooled = fleet_outcomes(n_workers=8)
         assert serial == pooled
-
-    def test_batched_fleet_matches_serial(self):
-        serial = fleet_outcomes(n_workers=1)
-        batched = fleet_outcomes(n_workers=4, batch_size=4)
-        assert serial == batched
 
     def test_request_rng_depends_on_all_inputs(self):
         base = derive_request_rng(1, "alice", 0).integers(0, 2**32, 4)

@@ -13,12 +13,11 @@ from repro.serving import ClinicWorkload, FleetConfig, FleetScheduler, run_clini
 from repro.telemetry import TelemetryObserver
 
 
-def run_fleet(observer, n_tenants=2, requests=2, batch_size=2):
+def run_fleet(observer, n_tenants=2, requests=2):
     config = FleetConfig(
         seed=2016,
         n_workers=2,
         queue_capacity=max(8, n_tenants * requests),
-        batch_size=batch_size,
     )
     workload = ClinicWorkload(
         n_tenants=n_tenants,
@@ -59,13 +58,6 @@ class TestTraceStitching:
         assert len(stitched) == 4  # one per completed request
         for services in stitched:
             assert {"scheduler", "phone"} <= services
-
-    def test_batcher_joins_the_trace(self, fleet_spans):
-        batcher = [
-            s for s in fleet_spans
-            if s.attributes.get("service") == "batcher"
-        ]
-        assert batcher, "batch_size=2 run must produce batcher-lane spans"
 
     def test_parent_links_resolve(self, fleet_spans):
         """Every parent pointer lands on a recorded span in the same
@@ -126,7 +118,7 @@ class TestConcurrentTelemetry:
         snap = threading.Thread(target=reader)
         snap.start()
         try:
-            report = run_fleet(observer, batch_size=1)
+            report = run_fleet(observer)
         finally:
             stop.set()
             snap.join()
