@@ -120,7 +120,12 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.obs import format_event_log, format_metrics_table, format_span_tree
+    from repro.obs import (
+        folded_from_tracer,
+        format_event_log,
+        format_metrics_table,
+        format_span_tree,
+    )
 
     result, observer = _run_instrumented_session(
         args.seed, args.duration, args.concentration
@@ -139,8 +144,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
           f"recovered_count={result.decryption.total_count}")
     _export_observability(observer, args.trace_out, args.events_out)
     if args.folded_out:
-        from repro.telemetry import folded_from_tracer
-
         with open(args.folded_out, "w", encoding="utf-8") as handle:
             handle.write(folded_from_tracer(observer.tracer) + "\n")
         print(f"folded stacks written: {args.folded_out}")

@@ -2,9 +2,12 @@
 
 Used by the ``python -m repro stats`` subcommand; kept separate from
 the recording modules so sinks stay presentation-free.
+:func:`folded_from_tracer` renders a span tree as folded stacks, the
+wall-clock profile ``stats --folded-out`` writes for ``flamegraph.pl``
+and speedscope.
 """
 
-from typing import List
+from typing import Dict, List
 
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
@@ -95,3 +98,27 @@ def _number(value: float) -> str:
     if float(value).is_integer() and abs(value) < 1e15:
         return str(int(value))
     return f"{value:.6g}"
+
+
+def folded_from_tracer(tracer: Tracer, scale: float = 1e6) -> str:
+    """Folded-stack lines from a live :class:`~repro.obs.tracing.Tracer`.
+
+    One line per call path carrying its self time (span duration minus
+    its children's), summed over repeated calls, as an integer count
+    of ``1 / scale`` seconds (default microseconds).  The self times of
+    a tree add back up to its root span's duration.
+    """
+    weights: Dict[str, float] = {}
+
+    def visit(span: Span, prefix: str) -> None:
+        path = f"{prefix};{span.name}" if prefix else span.name
+        child_total = sum(child.duration_s for child in span.children)
+        weights[path] = weights.get(path, 0.0) + max(
+            0.0, span.duration_s - child_total
+        )
+        for child in span.children:
+            visit(child, path)
+
+    for root in tracer.roots:
+        visit(root, "")
+    return "\n".join(f"{path} {int(round(s * scale))}" for path, s in sorted(weights.items()))

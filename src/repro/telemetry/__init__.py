@@ -1,4 +1,4 @@
-"""Fleet telemetry: SLOs, the dashboard, span-tree profiles, benchmarks.
+"""Fleet telemetry: SLOs, the dashboard, benchmarks.
 
 Builds on :mod:`repro.obs` (which stays dependency-free and
 behaviour-neutral, and owns the one histogram model, the mergeable
@@ -9,8 +9,6 @@ operator-facing layer:
   multi-window burn-rate alerting;
 * :mod:`repro.telemetry.dashboard` — the :class:`TelemetryObserver`
   drop-in and the pure-text ``repro top`` frame renderer;
-* :mod:`repro.telemetry.profiler` — folded-stack (flamegraph) output
-  from a recorded span tree;
 * :mod:`repro.telemetry.bench` — the ``BENCH_*.json`` benchmark
   trajectory runner and its CI regression gate.
 """
@@ -31,7 +29,6 @@ from repro.telemetry.dashboard import (
     render_dashboard,
     render_observer,
 )
-from repro.telemetry.profiler import folded_from_tracer
 from repro.telemetry.slo import (
     DEFAULT_RULES,
     LONG_WINDOW_S,
@@ -55,7 +52,6 @@ __all__ = [
     "TelemetryObserver",
     "render_dashboard",
     "render_observer",
-    "folded_from_tracer",
     "SCHEMA",
     "DEFAULT_AREAS",
     "Regression",

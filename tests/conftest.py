@@ -1,7 +1,10 @@
 """Shared fixtures for the MedSen reproduction test suite."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.config import MedSenConfig
 from repro.core.device import MedSenDevice
@@ -11,6 +14,12 @@ from repro.microfluidics.channel import MicrofluidicChannel
 from repro.microfluidics.flow import FlowController, FlowSpeedTable
 from repro.physics.lockin import LockInAmplifier
 from repro.physics.noise import QUIET, NoiseModel
+
+# ``HYPOTHESIS_PROFILE=ci`` (set by the CI test job) runs property tests
+# deeper.  The differential suites size themselves as
+# ``max(local count, settings().max_examples)``, so they deepen too.
+settings.register_profile("ci", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -38,6 +38,12 @@ from tests._session_oracle import (
 RATES = st.floats(0.01, 0.5, allow_nan=False, allow_infinity=False)
 
 
+def depth(local: int) -> int:
+    """Example count: ``local`` here, more under the ``ci`` profile
+    (tests/conftest.py)."""
+    return max(local, settings().max_examples)
+
+
 def fbits(value: float) -> bytes:
     return struct.pack("<d", value)
 
@@ -58,7 +64,7 @@ def flows(draw, max_commands=40):
 
 
 class TestArrivalTimes:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=depth(60), deadline=None)
     @given(
         flow=flows(),
         duration_s=st.floats(0.5, 300.0),
@@ -97,7 +103,7 @@ class TestArrivalTimes:
         for volume, time_s in zip(volumes.tolist(), times.tolist()):
             assert fbits(time_s) == fbits(scalar_time_for_volume(flow, volume, 10.0))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=depth(40), deadline=None)
     @given(
         flow=flows(max_commands=25),
         duration_s=st.floats(1.0, 120.0),
@@ -265,7 +271,7 @@ def decrypt_cases(draw):
 
 
 class TestTemplateMatch:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=depth(300), deadline=None)
     @given(case=decrypt_cases())
     def test_random_reports_match_oracle(self, case):
         decryptor, report = case

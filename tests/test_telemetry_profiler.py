@@ -3,8 +3,7 @@ real instrumented session."""
 
 import pytest
 
-from repro.obs import ManualClock, Observer
-from repro.telemetry import folded_from_tracer
+from repro.obs import ManualClock, Observer, folded_from_tracer
 
 
 def manual_observer():
