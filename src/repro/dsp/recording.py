@@ -210,17 +210,20 @@ class CsvRecordingModel:
             sampling_rate_hz = math.inf
         return trace, sampling_rate_hz
 
-    def bytes_per_sample(self, n_channels: int) -> float:
-        """Analytic estimate of bytes per sample row.
+    def bytes_per_sample(self, n_channels: int, duration_s: float) -> float:
+        """Analytic estimate of the mean bytes per row of a capture.
 
-        timestamp (~2 + timestamp_decimals + separators) plus per
-        channel (sign-less '0.' + decimals + comma), plus the newline.
+        The timestamp is its integer digits (averaged over
+        ``[0, duration_s)``), a point, ``timestamp_decimals`` and a
+        comma.  Each channel is a sign-less ``0.`` plus ``decimals``
+        and one separator; the last channel's separator is the newline.
         """
         if n_channels < 1:
             raise ValidationError("n_channels must be >= 1")
-        timestamp_bytes = 6 + self.timestamp_decimals
+        check_positive("duration_s", duration_s)
+        timestamp_bytes = _mean_integer_digits(duration_s) + 2 + self.timestamp_decimals
         channel_bytes = 3 + self.decimals
-        return timestamp_bytes + n_channels * channel_bytes + 1
+        return timestamp_bytes + n_channels * channel_bytes
 
     def estimate_capture_bytes(
         self, duration_s: float, sampling_rate_hz: float, n_channels: int
@@ -229,7 +232,16 @@ class CsvRecordingModel:
         check_positive("duration_s", duration_s)
         check_positive("sampling_rate_hz", sampling_rate_hz)
         n_samples = duration_s * sampling_rate_hz
-        return n_samples * self.bytes_per_sample(n_channels)
+        return n_samples * self.bytes_per_sample(n_channels, duration_s)
+
+
+def _mean_integer_digits(duration_s: float) -> float:
+    """Mean integer-digit count of a timestamp uniform on ``[0, duration_s)``."""
+    total, low, high, digits = 0.0, 0.0, 10.0, 1
+    while high < duration_s:
+        total += digits * (high - low)
+        low, high, digits = high, 10.0 * high, digits + 1
+    return (total + digits * (duration_s - low)) / duration_s
 
 
 def compressed_size_bytes(payload: bytes, level: int = 6) -> int:

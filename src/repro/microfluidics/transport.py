@@ -104,21 +104,27 @@ class TransportModel:
         """
         check_positive("duration_s", duration_s)
         generator = ensure_rng(rng)
-        particles = sample.draw_particles(rng=generator)
-        if not particles:
+        types, kinds, diameters = sample.draw_population(rng=generator)
+        if not kinds.size:
             return []
 
         pumped_ul = flow.volume_pumped_ul(0.0, duration_s)
         sample_ul = sample.volume_ul
-        positions_ul = generator.uniform(0.0, sample_ul, size=len(particles))
-        # Parcels beyond the pumped volume are not drawn within the run.
+        positions_ul = generator.uniform(0.0, sample_ul, size=kinds.size)
+        # Parcels beyond the pumped volume are not drawn within the run,
+        # so only reachable particles become Particle objects.
         reachable = np.flatnonzero(positions_ul <= pumped_ul)
         times_s = _arrival_times(flow, positions_ul[reachable], duration_s)
         draws = generator.random(reachable.size)
 
         arrivals: List[ParticleArrival] = []
-        for index, time_s, draw in zip(reachable.tolist(), times_s.tolist(), draws.tolist()):
-            particle = particles[index]
+        for kind, diameter_m, time_s, draw in zip(
+            kinds[reachable].tolist(),
+            diameters[reachable].tolist(),
+            times_s.tolist(),
+            draws.tolist(),
+        ):
+            particle = Particle(types[kind], diameter_m)
             if draw > self.survival_probability(particle, time_s):
                 continue  # settled in the well or stuck to a wall
             arrivals.append(

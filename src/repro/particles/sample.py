@@ -15,7 +15,7 @@ are derived quantities in particles/µL.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -161,19 +161,38 @@ class Sample:
         }
         return Sample(volume_liters=volume_ul * MICRO, counts=counts)
 
-    def draw_particles(self, rng: RngLike = None) -> List[Particle]:
-        """Instantiate every particle with a drawn diameter, shuffled.
+    def draw_population(
+        self, rng: RngLike = None
+    ) -> Tuple[Tuple[ParticleType, ...], np.ndarray, np.ndarray]:
+        """Draw every particle's diameter and shuffle them, as arrays.
 
-        The shuffle models the random order in which particles of a
-        well-mixed sample reach the channel inlet.
+        Returns ``(types, kinds, diameters)``: the species in ``counts``
+        order, and per particle its index into ``types`` and its drawn
+        diameter.  The shuffle models the random order in which
+        particles of a well-mixed sample reach the channel inlet.
+
+        Diameters are drawn per species in ``counts`` order, and the
+        shuffle permutes an ``np.arange`` index array.  ``Generator.shuffle``
+        runs the same Fisher–Yates draws on a 1-D array as on a list, so
+        this consumes the generator exactly as shuffling a list of
+        :class:`Particle` objects would, and yields the same order.
         """
         generator = ensure_rng(rng)
-        particles: List[Particle] = []
-        for ptype, count in self.counts.items():
-            diameters = np.atleast_1d(ptype.draw_diameter(generator, size=count))
-            particles.extend(Particle(ptype, float(d)) for d in diameters)
-        generator.shuffle(particles)
-        return particles
+        types = tuple(self.counts)
+        drawn = [
+            np.atleast_1d(ptype.draw_diameter(generator, size=count))
+            for ptype, count in self.counts.items()
+        ]
+        kinds = np.repeat(np.arange(len(types)), list(self.counts.values()))
+        diameters = np.concatenate(drawn) if drawn else np.empty(0)
+        order = np.arange(kinds.size)
+        generator.shuffle(order)
+        return types, kinds[order], diameters[order]
+
+    def draw_particles(self, rng: RngLike = None) -> List[Particle]:
+        """Instantiate every particle of :meth:`draw_population`, in order."""
+        types, kinds, diameters = self.draw_population(rng)
+        return [Particle(types[k], d) for k, d in zip(kinds.tolist(), diameters.tolist())]
 
 
 def mix(*samples: Sample) -> Sample:

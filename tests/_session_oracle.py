@@ -5,6 +5,8 @@ template matching (:meth:`SignalDecryptor._match_groups`) claim *exact*
 equality — same arrivals, same groups, bit-identical floats — with the
 scalar formulations they replaced:
 
+* a population draw that builds one :class:`Particle` per particle,
+  species by species, and shuffles that list;
 * one 60-step bisection per particle, each step walking every pump
   segment through ``FlowController.volume_pumped_ul``, with one scalar
   ``generator.random()`` survival draw per reachable particle;
@@ -37,6 +39,7 @@ from repro.crypto.key import EpochKey
 from repro.dsp.peakdetect import DetectedPeak, PeakReport
 from repro.microfluidics.flow import FlowController
 from repro.microfluidics.transport import ParticleArrival, TransportModel
+from repro.particles.sample import Particle, Sample
 
 
 # ---------------------------------------------------------------------------
@@ -60,13 +63,24 @@ def scalar_time_for_volume(
     return 0.5 * (lo + hi)
 
 
+def scalar_draw_particles(sample: Sample, rng) -> List[Particle]:
+    """Every particle as an object, species by species, then shuffled."""
+    generator = ensure_rng(rng)
+    particles: List[Particle] = []
+    for ptype, count in sample.counts.items():
+        diameters = np.atleast_1d(ptype.draw_diameter(generator, size=count))
+        particles.extend(Particle(ptype, float(d)) for d in diameters)
+    generator.shuffle(particles)
+    return particles
+
+
 def scalar_schedule_arrivals(
-    transport: TransportModel, sample, flow: FlowController, duration_s: float, rng
+    transport: TransportModel, sample: Sample, flow: FlowController, duration_s: float, rng
 ) -> List[ParticleArrival]:
     """The per-particle arrival loop (the differential oracle)."""
     check_positive("duration_s", duration_s)
     generator = ensure_rng(rng)
-    particles = sample.draw_particles(rng=generator)
+    particles = scalar_draw_particles(sample, generator)
     if not particles:
         return []
     pumped_ul = flow.volume_pumped_ul(0.0, duration_s)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import MedSenSession, Sample
 from repro._util.errors import ConfigurationError
 from repro.dsp.features import FeatureExtractor
 from repro.dsp.peakdetect import DetectedPeak, PeakReport
@@ -11,6 +12,7 @@ from repro.dsp.recording import (
     compressed_size_bytes,
     compression_ratio,
 )
+from repro.particles import BEAD_7P8, BLOOD_CELL
 
 
 def make_peak(time=1.0, amps=(0.01, 0.005, 0.003)):
@@ -76,11 +78,25 @@ class TestCsvRecording:
         assert float(lines[1].split(",")[1]) == pytest.approx(0.998877)
 
     def test_estimate_matches_actual_encoding(self):
+        """Within 3% of a real 60 s five-channel session capture."""
+        device = MedSenSession(rng=4).device
+        sample = Sample.from_concentrations(
+            {BLOOD_CELL: 600.0, BEAD_7P8: 200.0}, volume_ul=10.0
+        )
+        trace = device.run_capture(sample, 60.0, rng=4).trace
+        assert trace.voltages.shape == (5, 27000)
         model = CsvRecordingModel()
+        actual = len(model.encode(trace.voltages, trace.sampling_rate_hz))
+        estimated = model.estimate_capture_bytes(60.0, trace.sampling_rate_hz, 5)
+        assert actual == pytest.approx(estimated, rel=0.03)
+
+    def test_estimate_counts_timestamp_digits(self):
+        model = CsvRecordingModel()
+        # 1 s of 0.000..0.998 timestamps: 7-byte timestamp, 9 B per channel.
         trace = np.full((8, 450), 0.998877)
-        actual = len(model.encode(trace, 450.0))
-        estimated = model.estimate_capture_bytes(1.0, 450.0, 8)
-        assert actual == pytest.approx(estimated, rel=0.1)
+        assert len(model.encode(trace, 450.0)) == model.estimate_capture_bytes(1.0, 450.0, 8)
+        # Past 10 s the integer part gains a digit.
+        assert model.bytes_per_sample(1, 100.0) == pytest.approx(7 + 9 + 0.9)
 
     def test_paper_scale_600mb_for_3h(self):
         # §VII-B: 3 h at 450 Hz x 8 channels -> ~600 MB of CSV.

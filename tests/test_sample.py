@@ -6,6 +6,8 @@ import pytest
 from repro._util.errors import ValidationError
 from repro.particles import BEAD_3P58, BEAD_7P8, BLOOD_CELL, Sample, mix
 
+from tests._session_oracle import scalar_draw_particles
+
 
 class TestConstruction:
     def test_counts_and_volume(self):
@@ -143,3 +145,45 @@ class TestDrawParticles:
         particles = sample.draw_particles(rng=rng)
         drops = {float(p.relative_drop(500e3)) for p in particles}
         assert len(drops) > 1
+
+    def test_draw_population_arrays(self, rng):
+        sample = Sample(volume_liters=1e-6, counts={BEAD_7P8: 3, BLOOD_CELL: 5})
+        types, kinds, diameters = sample.draw_population(rng=rng)
+        assert types == (BEAD_7P8, BLOOD_CELL)
+        assert sorted(kinds.tolist()) == [0, 0, 0, 1, 1, 1, 1, 1]
+        assert diameters.dtype == np.float64 and diameters.shape == (8,)
+
+    def test_empty_sample_draws_nothing(self, rng):
+        state = rng.bit_generator.state
+        types, kinds, diameters = Sample(volume_liters=1e-6).draw_population(rng=rng)
+        assert (types, kinds.size, diameters.size) == ((), 0, 0)
+        assert Sample(volume_liters=1e-6).draw_particles(rng=rng) == []
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("seed", [0, 4, 2016])
+    def test_draw_particles_matches_list_shuffle(self, seed):
+        sample = Sample(
+            volume_liters=1e-6, counts={BEAD_3P58: 40, BEAD_7P8: 1, BLOOD_CELL: 70}
+        )
+        array_rng, list_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample.draw_particles(rng=array_rng) == scalar_draw_particles(sample, list_rng)
+        assert array_rng.bit_generator.state == list_rng.bit_generator.state
+
+
+class TestShufflePremise:
+    """``Sample.draw_population`` shuffles an index array where the
+    object draw shuffled a list of particles.  That is bit-identical only
+    because ``Generator.shuffle`` runs the same Fisher–Yates draws on a
+    1-D array as on a list; a numpy release that splits the two paths
+    fails here before any golden digest does."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 1000, 21000, 100003])
+    @pytest.mark.parametrize("seed", [0, 4, 2016])
+    def test_generator_shuffle_of_arange_matches_list(self, n, seed):
+        array_rng, list_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        order = np.arange(n)
+        array_rng.shuffle(order)
+        items = list(range(n))
+        list_rng.shuffle(items)
+        assert order.tolist() == items
+        assert array_rng.bit_generator.state == list_rng.bit_generator.state

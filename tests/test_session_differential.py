@@ -12,10 +12,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import CytoIdentifier, MedSenSession, Sample
+from repro._util.units import MICRO
 from repro.crypto.decryptor import SignalDecryptor
 from repro.crypto.encryptor import EncryptionPlan
 from repro.crypto.gains import GainTable
@@ -24,7 +25,7 @@ from repro.dsp.peakdetect import DetectedPeak, PeakReport
 from repro.hardware.electrodes import standard_array
 from repro.microfluidics.flow import FlowController, FlowSpeedTable
 from repro.microfluidics.transport import TransportModel, _arrival_times
-from repro.particles import BEAD_3P58, BEAD_7P8, BLOOD_CELL
+from repro.particles import BEAD_3P58, BEAD_7P8, BLOOD_CELL, ParticleType
 
 from tests._session_oracle import (
     explain_arrivals_mismatch,
@@ -36,6 +37,11 @@ from tests._session_oracle import (
 )
 
 RATES = st.floats(0.01, 0.5, allow_nan=False, allow_infinity=False)
+#: A monodisperse species: ``draw_diameter`` takes its ``np.full`` branch.
+FIXED_BEAD = ParticleType(
+    "bead_5um_fixed", diameter_m=5.0e-6, base_drop=0.002, diameter_cv=0.0
+)
+SPECIES = (BEAD_3P58, BEAD_7P8, BLOOD_CELL, FIXED_BEAD)
 
 
 def depth(local: int) -> int:
@@ -107,18 +113,39 @@ class TestArrivalTimes:
     @given(
         flow=flows(max_commands=25),
         duration_s=st.floats(1.0, 120.0),
+        counts=st.dictionaries(st.sampled_from(SPECIES), st.integers(0, 120)),
         volume_ul=st.floats(0.02, 0.5),
-        concentrations=st.tuples(st.floats(0.0, 300.0), st.floats(0.0, 300.0)),
+        whole_sample=st.one_of(st.none(), st.floats(0.05, 1.0)),
         lossy=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    # Every species, the monodisperse one included.
+    @example(
+        flow=FlowController(), duration_s=60.0,
+        counts={species: 40 for species in SPECIES}, volume_ul=0.1,
+        whole_sample=None, lossy=True, seed=4,
+    )
+    # Every parcel is drawn: the sample is no bigger than the pumped volume.
+    @example(
+        flow=FlowController(), duration_s=60.0,
+        counts={BEAD_3P58: 30, FIXED_BEAD: 20, BLOOD_CELL: 50}, volume_ul=0.1,
+        whole_sample=1.0, lossy=False, seed=5,
+    )
+    # One particle, and none.
+    @example(
+        flow=FlowController(), duration_s=30.0, counts={FIXED_BEAD: 1},
+        volume_ul=0.02, whole_sample=0.5, lossy=False, seed=6,
+    )
+    @example(
+        flow=FlowController(), duration_s=30.0, counts={}, volume_ul=0.02,
+        whole_sample=None, lossy=False, seed=7,
+    )
     def test_schedule_matches_scalar(
-        self, flow, duration_s, volume_ul, concentrations, lossy, seed
+        self, flow, duration_s, counts, volume_ul, whole_sample, lossy, seed
     ):
-        sample = Sample.from_concentrations(
-            {BEAD_7P8: concentrations[0], BLOOD_CELL: concentrations[1]},
-            volume_ul=volume_ul,
-        )
+        if whole_sample is not None:
+            volume_ul = whole_sample * flow.volume_pumped_ul(0.0, duration_s)
+        sample = Sample(volume_liters=volume_ul * MICRO, counts=counts)
         transport = (
             TransportModel(settling_tau_s_at_7p8um=30.0, adsorption_probability=0.2)
             if lossy
@@ -129,8 +156,10 @@ class TestArrivalTimes:
         shipped = transport.schedule_arrivals(sample, flow, duration_s, rng=shipped_rng)
         oracle = scalar_schedule_arrivals(transport, sample, flow, duration_s, oracle_rng)
         assert explain_arrivals_mismatch(shipped, oracle) == ""
-        # The same number of draws was consumed.
+        # The same draws were consumed, so acquisition noise drawn next
+        # from the same generator is unchanged.
         assert shipped_rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert fbits(shipped_rng.random()) == fbits(oracle_rng.random())
 
     def test_session_flow_schedule(self):
         """A keyed 60 s capture: 2 s epochs of quantised flow levels."""
