@@ -26,7 +26,6 @@ from typing import Deque, Optional, Tuple
 
 from repro._util.errors import ConfigurationError, MalformedPayloadError
 from repro.dsp.peakdetect import PeakDetector, PeakReport
-from repro.dsp.windowed import WindowedPeakDetector
 from repro.guard.admission import DEFAULT_TRACE_POLICY, TraceAdmissionPolicy, admit_trace
 from repro.guard.freshness import FreshnessGuard, FreshnessToken
 from repro.hardware.acquisition import AcquiredTrace
@@ -190,7 +189,7 @@ class AnalysisServer:
         ) as span:
             report = self.detector.detect(trace.voltages, trace.sampling_rate_hz)
         self._thread.last_span_context = span.context()
-        self._account(trace, report, span.duration_s, streaming=False)
+        self._account(trace, report, span.duration_s)
         if request_id is not None:
             self._remember_request(request_id, report)
         return report
@@ -251,38 +250,9 @@ class AnalysisServer:
             trace_context=getattr(self._thread, "last_span_context", None),
         )
 
-    def analyze_streaming(
-        self, trace: AcquiredTrace, chunk_s: float = 20.0
-    ) -> PeakReport:
-        """Analyse a long capture in streaming chunks.
-
-        Bit-identical to :meth:`analyze` for any chunk size — the exact
-        :class:`~repro.dsp.windowed.WindowedPeakDetector` carries the
-        detrend and peak state across chunks — but bounded-memory: the
-        §VII-B multi-hour captures never need to be resident at once.
-        Accounting (history, timing) matches :meth:`analyze`.
-        """
-        if self.admission is not None:
-            admit_trace(
-                trace, self.admission, observer=self.observer, boundary="ingest"
-            )
-        with self.observer.span(
-            "cloud_analysis", samples=trace.n_samples, channels=trace.n_channels,
-            mode="streaming",
-        ) as span:
-            streaming = WindowedPeakDetector(
-                trace.n_channels, trace.sampling_rate_hz, detector=self.detector
-            )
-            chunk = max(int(chunk_s * trace.sampling_rate_hz), 1)
-            for offset in range(0, trace.n_samples, chunk):
-                streaming.feed(trace.voltages[:, offset : offset + chunk])
-            report = streaming.finish()
-        self._account(trace, report, span.duration_s, streaming=True)
-        return report
-
     # ------------------------------------------------------------------
     def _account(
-        self, trace: AcquiredTrace, report: PeakReport, elapsed: float, streaming: bool
+        self, trace: AcquiredTrace, report: PeakReport, elapsed: float
     ) -> None:
         with self._lock:
             self._jobs_processed += 1
@@ -299,10 +269,7 @@ class AnalysisServer:
         self.observer.incr("cloud.peaks_reported", report.count)
         self.observer.observe("cloud.analysis_s", elapsed)
         self.observer.event(
-            PEAKS_REPORTED,
-            peaks=report.count,
-            duration_s=report.duration_s,
-            streaming=streaming,
+            PEAKS_REPORTED, peaks=report.count, duration_s=report.duration_s
         )
 
     # ------------------------------------------------------------------

@@ -37,6 +37,10 @@ from repro.mobile.phone import RelayOutcome, Smartphone
 from repro.obs import DIAGNOSIS_ISSUED, NULL_OBSERVER, adopt_observer
 from repro.particles.sample import Sample, mix
 
+#: The biomarker species whose concentration drives the diagnosis: the
+#: blood-cell species (the CD4 stand-in).
+MARKER_TYPE_NAME = "blood_cell"
+
 
 @dataclass(frozen=True)
 class SessionTiming:
@@ -96,9 +100,6 @@ class MedSenSession:
     ----------
     device:
         The patient's dongle (defaults to a paper-configured one).
-    marker_type_name:
-        The biomarker whose concentration drives the diagnosis;
-        defaults to the blood-cell species (the CD4 stand-in).
     observer:
         Observability sink shared by the whole deployment.  The default
         no-op observer records nothing; a live
@@ -116,7 +117,6 @@ class MedSenSession:
         classifier: Optional[ParticleClassifier] = None,
         store: Optional[RecordStore] = None,
         diagnostic: ThresholdDiagnostic = CD4_STAGING,
-        marker_type_name: str = "blood_cell",
         capture_chamber=None,
         rng: RngLike = None,
         observer=NULL_OBSERVER,
@@ -142,25 +142,16 @@ class MedSenSession:
                               self.authenticator, self.store):
                 adopt_observer(component, observer)
         self.diagnostic = diagnostic
-        self.marker_type_name = marker_type_name
         self.features = FeatureExtractor(
             carrier_frequencies_hz=self.device.carrier_frequencies_hz,
             feature_frequencies_hz=DEFAULT_FEATURE_FREQUENCIES_HZ,
         )
         if classifier is None:
             reference_types = list(self.config.alphabet.bead_types)
-            marker = next(
-                (
-                    t
-                    for t in reference_types
-                    if t.name == marker_type_name
-                ),
-                None,
-            )
-            if marker is None:
+            if not any(t.name == MARKER_TYPE_NAME for t in reference_types):
                 from repro.particles.library import get_particle_type
 
-                reference_types.append(get_particle_type(marker_type_name))
+                reference_types.append(get_particle_type(MARKER_TYPE_NAME))
             classifier = enroll_classifier(
                 reference_types,
                 feature_frequencies_hz=self.features.feature_frequencies_hz,
@@ -185,8 +176,7 @@ class MedSenSession:
         authenticator's lockout throttle — typically the tenant or
         device id — so repeated failed password submissions from one
         source hit the exponential lockout
-        (:mod:`repro.guard.lockout`).  ``None`` keeps the call
-        compatible with authenticators that predate throttling.
+        (:mod:`repro.guard.lockout`).
         """
         rng = ensure_rng(rng)
         observer = self.observer
@@ -217,14 +207,9 @@ class MedSenSession:
                 bead_counts, marker_count = self._classify(decryption)
             classification_time = classify_span.duration_s
 
-            if auth_source is None:
-                auth = self.authenticator.authenticate(
-                    bead_counts, capture.pumped_volume_ul
-                )
-            else:
-                auth = self.authenticator.authenticate(
-                    bead_counts, capture.pumped_volume_ul, source=auth_source
-                )
+            auth = self.authenticator.authenticate(
+                bead_counts, capture.pumped_volume_ul, source=auth_source
+            )
 
             # Concentration in the mixture, corrected for delivery losses,
             # un-diluted back to the (possibly enriched) sample, and mapped
@@ -297,7 +282,7 @@ class MedSenSession:
         report = self.classifier.classify(matrix)
         scale = total / len(clean)
         counts = self.authenticator.counts_from_classification(report, scale=scale)
-        marker = counts.pop(self.marker_type_name, 0.0)
+        marker = counts.pop(MARKER_TYPE_NAME, 0.0)
         bead_counts = {
             bead.name: counts.get(bead.name, 0.0)
             for bead in self.config.alphabet.bead_types

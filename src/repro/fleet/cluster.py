@@ -56,7 +56,7 @@ from repro.fleet.messages import (
     SnapshotRequest,
     StoreDigest,
 )
-from repro.fleet.ring import DEFAULT_VNODES, HashRing
+from repro.fleet.ring import HashRing
 from repro.fleet.shard import ShardSpec, shard_main
 from repro.fleet.transport import FrameChannel
 from repro.obs import (
@@ -121,8 +121,6 @@ class FleetTierConfig:
     max_inflight:
         Front-door bound on concurrently admitted sessions; beyond it
         submissions are shed with a typed refusal.
-    vnodes:
-        Virtual points per shard on the consistent-hash ring.
     journal:
         When True each shard appends committed records to its own
         journal file, enabling bit-identical restart recovery.
@@ -131,19 +129,17 @@ class FleetTierConfig:
         removes) a temporary directory.
     request_timeout_s:
         Parent-side ceiling on any single shard round trip.
-    start_method:
-        ``multiprocessing`` start method; ``None`` prefers ``fork``
-        (cheap on Linux) and falls back to ``spawn``.
+
+    The ring places :data:`~repro.fleet.ring.DEFAULT_VNODES` points per
+    shard.
     """
 
     n_shards: int = 2
     shard: FleetConfig = field(default_factory=FleetConfig)
     max_inflight: int = 64
-    vnodes: int = DEFAULT_VNODES
     journal: bool = False
     journal_dir: Optional[str] = None
     request_timeout_s: float = 120.0
-    start_method: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -152,17 +148,14 @@ class FleetTierConfig:
             raise ConfigurationError(
                 f"max_inflight must be >= 1, got {self.max_inflight}"
             )
-        if self.vnodes < 1:
-            raise ConfigurationError(f"vnodes must be >= 1, got {self.vnodes}")
         if not self.request_timeout_s > 0:
             raise ConfigurationError(
                 f"request_timeout_s must be > 0, got {self.request_timeout_s}"
             )
 
 
-def _mp_context(start_method: Optional[str]):
-    if start_method is not None:
-        return mp.get_context(start_method)
+def _mp_context():
+    """``fork`` where the platform has it (cheap on Linux), else ``spawn``."""
     methods = mp.get_all_start_methods()
     return mp.get_context("fork" if "fork" in methods else "spawn")
 
@@ -311,8 +304,8 @@ class FleetCluster:
             raise MedSenError(f"n_shards must be >= 1, got {config.n_shards}")
         self.config = config
         self.observer = observer
-        self.ctx = _mp_context(config.start_method)
-        self.ring = HashRing(vnodes=config.vnodes)
+        self.ctx = _mp_context()
+        self.ring = HashRing()
         self._handles: Dict[str, ShardHandle] = {}
         self._registered: Dict[str, object] = {}  # tenant -> identifier
         self._started = False

@@ -121,15 +121,12 @@ class AsyncFrontDoor:
 
     # ------------------------------------------------------------------
     def _admit(self, tenant_id: str, duration_s: float, pipette_volume_ul: float):
-        shard_cfg = self.cluster.config.shard
         from repro.guard.admission import admit_session_params
 
         admit_session_params(
             tenant_id,
             duration_s,
             pipette_volume_ul,
-            max_duration_s=shard_cfg.max_duration_s,
-            max_pipette_volume_ul=shard_cfg.max_pipette_volume_ul,
             observer=self.observer,
             boundary="fleet",
         )

@@ -67,7 +67,7 @@ from repro.fleet.messages import (
     SubmitResponse,
 )
 from repro.fleet.transport import FrameChannel
-from repro.obs import RECORD_QUARANTINED, SHARD_RECOVERED, context_or_none
+from repro.obs import RECORD_QUARANTINED, SHARD_RECOVERED, Observer, context_or_none
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.journal import (
@@ -127,9 +127,7 @@ class _ShardRuntime:
         # Fresh per-process sinks: the parent merges shard telemetry
         # explicitly; sharing the process-default registry would alias
         # instruments if a test drives shard_main in-process.
-        from repro.telemetry import TelemetryObserver
-
-        self.observer = TelemetryObserver(metrics=MetricsRegistry(), events=EventLog())
+        self.observer = Observer(metrics=MetricsRegistry(), events=EventLog())
         self.journal = (
             RecordJournal(spec.journal_path) if spec.journal_path else None
         )

@@ -12,7 +12,6 @@ Figure 14).
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro._util.validation import check_positive
 from repro.cloud.network import NetworkModel
 from repro.cloud.server import AnalysisServer
 from repro.dsp.peakdetect import PeakDetector, PeakReport
@@ -20,13 +19,20 @@ from repro.dsp.recording import CsvRecordingModel, compressed_size_bytes
 from repro.guard.admission import DEFAULT_TRACE_POLICY, TraceAdmissionPolicy, admit_trace
 from repro.guard.envelope import SecureChannel
 from repro.hardware.acquisition import AcquiredTrace
-from repro.mobile.perf import NEXUS5, DevicePerfModel
+from repro.mobile.perf import NEXUS5
 from repro.obs import NULL_OBSERVER, TRACE_RELAYED
 
 #: Approximate serialized size of a peak report entry (timestamp,
 #: depth, width, channel amplitudes) sent back to the phone.
 _REPORT_BYTES_PER_PEAK = 64.0
 _REPORT_BYTES_BASE = 256.0
+
+#: The prototype's capture format: one CSV row per sample.
+RECORDING = CsvRecordingModel()
+#: DEFLATE level of the phone's zip step (zlib's default).
+COMPRESSION_LEVEL = 6
+#: Modelled phone-side compression throughput (bytes of CSV per second).
+COMPRESSION_BYTES_PER_S = 40e6
 
 
 @dataclass(frozen=True)
@@ -55,13 +61,12 @@ class Smartphone:
     ----------
     network:
         Uplink/downlink model used for transfer estimates.
-    perf:
-        Local processing-time model (defaults to the Nexus 5 fit).
     local_analysis_threshold_samples:
         Captures with at most this many total samples are analysed on
         the phone instead of being uploaded ("For smaller samples,
         MedSen could be configured to perform the peak counting signal
-        processing on the smartphone locally").  0 disables local mode.
+        processing on the smartphone locally"), timed by the Nexus 5
+        fit :data:`~repro.mobile.perf.NEXUS5`.  0 disables local mode.
     observer:
         Observability sink (relay spans, transfer metrics, audit
         events); the default records nothing.
@@ -77,11 +82,7 @@ class Smartphone:
     """
 
     network: NetworkModel = field(default_factory=NetworkModel)
-    perf: DevicePerfModel = NEXUS5
-    recording: CsvRecordingModel = field(default_factory=CsvRecordingModel)
     local_analysis_threshold_samples: int = 0
-    compression_bytes_per_s: float = 40e6
-    compression_level: int = 6
     observer: object = NULL_OBSERVER
     admission: Optional[TraceAdmissionPolicy] = DEFAULT_TRACE_POLICY
     channel: Optional[SecureChannel] = None
@@ -89,7 +90,6 @@ class Smartphone:
     def __post_init__(self) -> None:
         if self.local_analysis_threshold_samples < 0:
             raise ValueError("local_analysis_threshold_samples must be >= 0")
-        check_positive("compression_bytes_per_s", self.compression_bytes_per_s)
 
     # ------------------------------------------------------------------
     def relay(
@@ -115,7 +115,7 @@ class Smartphone:
         with self.observer.span("relay", service="phone") as relay_span:
             total_samples = trace.n_channels * trace.n_samples
             with self.observer.span("encode", samples=total_samples):
-                payload = self.recording.encode(
+                payload = RECORDING.encode(
                     trace.voltages, trace.sampling_rate_hz
                 )
             raw_bytes = len(payload)
@@ -142,12 +142,12 @@ class Smartphone:
                     uploaded_bytes=0.0,
                     compression_time_s=0.0,
                     transfer_time_s=0.0,
-                    analysis_time_s=self.perf.processing_time_s(total_samples),
+                    analysis_time_s=NEXUS5.processing_time_s(total_samples),
                 )
 
             with self.observer.span("compress", raw_bytes=raw_bytes):
-                compressed = compressed_size_bytes(payload, level=self.compression_level)
-            compression_time = raw_bytes / self.compression_bytes_per_s
+                compressed = compressed_size_bytes(payload, level=COMPRESSION_LEVEL)
+            compression_time = raw_bytes / COMPRESSION_BYTES_PER_S
             self.observer.event(
                 TRACE_RELAYED,
                 analyzed_locally=False,

@@ -348,7 +348,6 @@ def run_campaign(
             drop_probability=spec.plan.drop_probability,
             timeout_probability=spec.plan.timeout_probability,
             duplicate_probability=spec.plan.duplicate_probability,
-            keep_history=False,
         )
         workload = ClinicWorkload(
             n_tenants=spec.n_tenants,

@@ -38,8 +38,7 @@ from repro.cloud.server import AnalysisServer
 from repro.cloud.storage import RecordStore
 from repro.core.config import MedSenConfig
 from repro.core.device import MedSenDevice
-from repro.core.diagnosis import CD4_STAGING, ThresholdDiagnostic
-from repro.core.protocol import MedSenSession
+from repro.core.protocol import MARKER_TYPE_NAME, MedSenSession
 from repro.guard.admission import admit_session_params
 from repro.guard.freshness import FreshnessGuard
 from repro.guard.lockout import LockoutPolicy
@@ -79,7 +78,7 @@ class WorkerCrash(MedSenError):
 
 
 class PoisonRequestError(MedSenError):
-    """A request crashed ``poison_threshold`` workers and was quarantined.
+    """A request crashed :data:`POISON_THRESHOLD` workers and was quarantined.
 
     The offending future lands in :attr:`FleetScheduler.dead_letters`
     instead of being retried forever; ``last_crash`` carries the final
@@ -89,6 +88,18 @@ class PoisonRequestError(MedSenError):
     def __init__(self, message: str, last_crash: Optional[WorkerCrash] = None) -> None:
         super().__init__(message)
         self.last_crash = last_crash
+
+
+#: Virtual-time cost of one timed-out cloud exchange on a flaky link.
+NETWORK_TIMEOUT_S = 2.0
+#: Consecutive failed exchanges that trip the fleet-wide circuit breaker.
+BREAKER_FAILURE_THRESHOLD = 5
+#: Seconds an open breaker waits before it lets a probe through.
+BREAKER_RECOVERY_S = 5.0
+#: Crashes the *same* request may cause before it is quarantined to
+#: :attr:`FleetScheduler.dead_letters` instead of retried (a poison
+#: request would otherwise kill workers forever).
+POISON_THRESHOLD = 2
 
 
 @dataclass(frozen=True)
@@ -106,13 +117,11 @@ class FleetConfig:
         Bound on the submission queue (backpressure threshold).
     network:
         The uplink model shared by every phone in the fleet.
-    drop_probability, timeout_probability, duplicate_probability,
-    network_timeout_s:
-        Failure injection for the cloud exchange (all zero = reliable).
+    drop_probability, timeout_probability, duplicate_probability:
+        Failure injection for the cloud exchange (all zero = reliable);
+        a timed-out exchange costs :data:`NETWORK_TIMEOUT_S`.
     retry:
         Backoff policy for failed exchanges.
-    breaker_failure_threshold, breaker_recovery_s:
-        Fleet-wide circuit breaker; consecutive failures trip it.
     deadline_s:
         Default per-request virtual-time budget for the cloud exchange.
     realtime_network:
@@ -120,17 +129,6 @@ class FleetConfig:
         compression + retry time, so concurrency genuinely overlaps the
         waits (throughput benchmarks); when False, sessions run at
         compute speed (tests).
-    keep_history, max_history:
-        Curious-server log retention on the shared analysis server.
-    supervise_workers:
-        When True (default), a worker that crashes mid-request is
-        replaced by a fresh thread and the interrupted request is
-        requeued; when False a crash permanently shrinks the pool and
-        fails the request.
-    poison_threshold:
-        Crashes the *same* request may cause before it is quarantined
-        to :attr:`FleetScheduler.dead_letters` instead of retried (a
-        poison request would otherwise kill workers forever).
     freshness_secret:
         When set, the shared analysis server carries a
         :class:`~repro.guard.freshness.FreshnessGuard` under this
@@ -143,11 +141,10 @@ class FleetConfig:
         Optional :class:`~repro.guard.lockout.LockoutPolicy` for the
         shared authenticator: tenants burning their failure budget are
         locked out with exponential backoff (keyed by tenant id).
-    max_duration_s, max_pipette_volume_ul:
-        Admission caps enforced at :meth:`FleetScheduler.submit`; a
-        request exceeding them is refused with a typed
-        :class:`~repro._util.errors.AdmissionError` before it can
-        occupy a queue slot.
+
+    The shared analysis server keeps no curious-server history, and
+    every session diagnoses :data:`~repro.core.diagnosis.CD4_STAGING`
+    from the :data:`~repro.core.protocol.MARKER_TYPE_NAME` species.
     """
 
     seed: int = 0
@@ -157,30 +154,15 @@ class FleetConfig:
     drop_probability: float = 0.0
     timeout_probability: float = 0.0
     duplicate_probability: float = 0.0
-    network_timeout_s: float = 2.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    breaker_failure_threshold: int = 5
-    breaker_recovery_s: float = 5.0
     deadline_s: Optional[float] = None
     realtime_network: bool = False
-    keep_history: bool = False
-    max_history: int = 4096
-    marker_type_name: str = "blood_cell"
-    diagnostic: ThresholdDiagnostic = CD4_STAGING
-    supervise_workers: bool = True
-    poison_threshold: int = 2
     freshness_secret: Optional[bytes] = None
     auth_lockout: Optional[LockoutPolicy] = None
-    max_duration_s: float = 3600.0
-    max_pipette_volume_ul: float = 1000.0
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.poison_threshold < 1:
-            raise ValueError(
-                f"poison_threshold must be >= 1, got {self.poison_threshold}"
-            )
 
     @property
     def flaky(self) -> bool:
@@ -226,8 +208,7 @@ class FleetScheduler:
         # --- shared, effectively-immutable deployment state ----------
         self.device_config = MedSenConfig()
         self.server = AnalysisServer(
-            keep_history=config.keep_history,
-            max_history=config.max_history,
+            keep_history=False,
             observer=observer,
             freshness=(
                 FreshnessGuard(config.freshness_secret)
@@ -243,8 +224,8 @@ class FleetScheduler:
         )
         self.store = store if store is not None else RecordStore(observer=observer)
         self.breaker = CircuitBreaker(
-            failure_threshold=config.breaker_failure_threshold,
-            recovery_time_s=config.breaker_recovery_s,
+            failure_threshold=BREAKER_FAILURE_THRESHOLD,
+            recovery_time_s=BREAKER_RECOVERY_S,
             observer=observer,
         )
         self.link = (
@@ -253,7 +234,7 @@ class FleetScheduler:
                 drop_probability=config.drop_probability,
                 timeout_probability=config.timeout_probability,
                 duplicate_probability=config.duplicate_probability,
-                timeout_s=config.network_timeout_s,
+                timeout_s=NETWORK_TIMEOUT_S,
             )
             if config.flaky
             else None
@@ -261,8 +242,8 @@ class FleetScheduler:
         # One classifier for the whole fleet, enrolled from a dedicated
         # derived stream so it never perturbs per-request randomness.
         reference_types = list(self.device_config.alphabet.bead_types)
-        if not any(t.name == config.marker_type_name for t in reference_types):
-            reference_types.append(get_particle_type(config.marker_type_name))
+        if not any(t.name == MARKER_TYPE_NAME for t in reference_types):
+            reference_types.append(get_particle_type(MARKER_TYPE_NAME))
         self.classifier = enroll_classifier(
             reference_types,
             circuit=self.device_config.circuit,
@@ -412,8 +393,6 @@ class FleetScheduler:
             tenant_id,
             duration_s,
             pipette_volume_ul,
-            max_duration_s=self.config.max_duration_s,
-            max_pipette_volume_ul=self.config.max_pipette_volume_ul,
             observer=self.observer,
             boundary="submit",
         )
@@ -467,7 +446,7 @@ class FleetScheduler:
 
     @property
     def dead_letters(self) -> "tuple":
-        """Futures quarantined after crashing ``poison_threshold`` workers."""
+        """Futures quarantined after crashing :data:`POISON_THRESHOLD` workers."""
         with self._stats_lock:
             return tuple(self._dead_letters)
 
@@ -502,33 +481,28 @@ class FleetScheduler:
             reason=str(crash),
         )
         self.observer.incr("serve.worker_crashes")
-        supervised = self.config.supervise_workers
-        if supervised and not self.queue.closed:
+        if not self.queue.closed:
             # Replacement first, so the pool keeps draining while we
             # decide what to do with the interrupted request.
             self._spawn_worker()
-        if not supervised or crashes >= self.config.poison_threshold:
+        if crashes >= POISON_THRESHOLD:
             with self._stats_lock:
                 self._failed += 1
-                if supervised:
-                    self._dead_letters.append(future)
-            if supervised:
-                self.observer.event(
-                    REQUEST_QUARANTINED,
-                    tenant=request.tenant_id,
-                    sequence=request.sequence,
-                    crashes=crashes,
+                self._dead_letters.append(future)
+            self.observer.event(
+                REQUEST_QUARANTINED,
+                tenant=request.tenant_id,
+                sequence=request.sequence,
+                crashes=crashes,
+            )
+            self.observer.incr("serve.quarantined")
+            future._fail(
+                PoisonRequestError(
+                    f"request {request.tenant_id}:{request.tenant_sequence} "
+                    f"crashed {crashes} workers; quarantined",
+                    last_crash=crash,
                 )
-                self.observer.incr("serve.quarantined")
-                future._fail(
-                    PoisonRequestError(
-                        f"request {request.tenant_id}:{request.tenant_sequence} "
-                        f"crashed {crashes} workers; quarantined",
-                        last_crash=crash,
-                    )
-                )
-            else:
-                future._fail(crash)
+            )
             return
         # Transient crash: give the request another attempt.  Its RNG
         # derives from (seed, tenant, tenant_sequence) alone, so the
@@ -652,8 +626,6 @@ class FleetScheduler:
             authenticator=self.authenticator,
             classifier=self.classifier,
             store=self.store,
-            diagnostic=self.config.diagnostic,
-            marker_type_name=self.config.marker_type_name,
             rng=rng,
             observer=self.observer,
         )

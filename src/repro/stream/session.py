@@ -79,6 +79,11 @@ REAPED = "reaped"
 _RESUME_LABEL = b"medsen-stream-resume"
 _SESSION_KEY_LABEL = b"medsen-stream-session"
 
+#: Factor a backpressured ack applies to the device's chunk size.
+CONGESTION_BACKOFF = 0.5
+#: Consecutive clean acks before the chunk size grows back one step.
+CLEAN_ACKS_TO_GROW = 4
+
 
 @dataclass(frozen=True)
 class StreamSessionConfig:
@@ -87,13 +92,9 @@ class StreamSessionConfig:
     chunk_samples: int = 2048
     min_chunk_samples: int = 128
     max_chunk_samples: int = 16384
-    send_interval_s: float = 0.0
-    heartbeat_interval_s: float = 5.0
     suspend_after_s: float = 15.0
     reap_after_s: float = 60.0
     epoch_overlap_chunks: int = 4
-    congestion_backoff: float = 0.5
-    clean_acks_to_grow: int = 4
     max_attempts: int = 8
 
     def __post_init__(self) -> None:
@@ -106,18 +107,12 @@ class StreamSessionConfig:
                 "chunk_samples must satisfy min <= chunk <= max, got "
                 f"{self.min_chunk_samples}/{self.chunk_samples}/{self.max_chunk_samples}"
             )
-        if self.send_interval_s < 0:
-            raise ValidationError("send_interval_s must be >= 0")
         if self.suspend_after_s <= 0 or self.reap_after_s <= self.suspend_after_s:
             raise ValidationError(
                 "deadlines must satisfy 0 < suspend_after_s < reap_after_s"
             )
         if self.epoch_overlap_chunks < 0:
             raise ValidationError("epoch_overlap_chunks must be >= 0")
-        if not 0.0 < self.congestion_backoff < 1.0:
-            raise ValidationError("congestion_backoff must be in (0, 1)")
-        if self.clean_acks_to_grow < 1:
-            raise ValidationError("clean_acks_to_grow must be >= 1")
         if self.max_attempts < 1:
             raise ValidationError("max_attempts must be >= 1")
 
@@ -747,29 +742,23 @@ class StreamGateway:
 # Device side
 # ---------------------------------------------------------------------------
 class RateController:
-    """Adaptive chunking under congestion: shrink, widen, recover.
+    """Adaptive chunking under congestion: shrink and recover.
 
-    On every backpressured ack the chunk size halves (down to the
-    floor) and the advisory send interval doubles; after
-    ``clean_acks_to_grow`` consecutive clean acks it recovers one step.
-    Hitting the floor marks the stream **degraded** — the device keeps
-    sending (smaller, slower) instead of failing the session, and the
-    flag routes the outcome through the degraded-diagnosis path.
+    On every backpressured ack the chunk size shrinks by
+    :data:`CONGESTION_BACKOFF` (down to the floor); after
+    :data:`CLEAN_ACKS_TO_GROW` consecutive clean acks it doubles back
+    one step.  Hitting the floor marks the stream **degraded** — the
+    device keeps sending smaller chunks instead of failing the session,
+    and the flag routes the outcome through the degraded-diagnosis path.
     """
 
     def __init__(self, config: StreamSessionConfig) -> None:
         self.config = config
         self.chunk_samples = config.chunk_samples
-        self.interval_scale = 1.0
         self.backoffs = 0
         self.recoveries = 0
         self.floored = False
         self._clean = 0
-
-    @property
-    def send_interval_s(self) -> float:
-        """Advisory inter-chunk spacing at the current backoff level."""
-        return self.config.send_interval_s * self.interval_scale
 
     def on_backpressure(self) -> None:
         self._clean = 0
@@ -778,23 +767,21 @@ class RateController:
             self.floored = True
             return
         self.chunk_samples = max(
-            int(self.chunk_samples * self.config.congestion_backoff),
+            int(self.chunk_samples * CONGESTION_BACKOFF),
             self.config.min_chunk_samples,
         )
-        self.interval_scale = min(self.interval_scale * 2.0, 64.0)
         if self.chunk_samples <= self.config.min_chunk_samples:
             self.floored = True
 
     def on_clean_ack(self) -> None:
         self._clean += 1
         if (
-            self._clean >= self.config.clean_acks_to_grow
+            self._clean >= CLEAN_ACKS_TO_GROW
             and self.chunk_samples < self.config.max_chunk_samples
         ):
             self.chunk_samples = min(
                 self.chunk_samples * 2, self.config.max_chunk_samples
             )
-            self.interval_scale = max(self.interval_scale / 2.0, 1.0)
             self.recoveries += 1
             self._clean = 0
 
@@ -854,7 +841,6 @@ class DeviceStreamer:
         self.retransmits = 0
         self.disconnects = 0
         self.duplicate_acks = 0
-        self.heartbeats_sent = 0
 
     def advance_epoch(self) -> int:
         """Device-side key rotation (mirrors the controller's ``K(t)``)."""

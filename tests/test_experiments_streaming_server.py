@@ -1,21 +1,13 @@
-"""Library experiment runners and the server's streaming mode."""
-
-import numpy as np
-import pytest
+"""Library experiment runners."""
 
 from repro.analysis.calibration import fit_calibration
-from repro.cloud.server import AnalysisServer
 from repro.experiments import (
     acquire_particle_events,
     make_fig14_capture,
     run_bead_dilution_series,
     single_key_plan,
 )
-from repro.hardware.acquisition import AcquiredTrace
 from repro.particles import BEAD_7P8
-from repro.physics.noise import NoiseModel
-from repro.physics.peaks import PulseEvent, synthesize_pulse_train
-from tests._dsp_oracle import report_digest
 
 
 class TestExperimentRunners:
@@ -47,35 +39,3 @@ class TestExperimentRunners:
     def test_fig14_capture_exact_length(self):
         capture = make_fig14_capture(12345)
         assert capture.shape == (1, 12345)
-
-
-class TestStreamingServer:
-    def make_trace(self, duration_s=90.0):
-        centers = np.arange(1.0, duration_s - 1.0, 2.0)
-        events = [
-            PulseEvent(center_s=c, width_s=0.02, amplitudes=np.array([0.01]))
-            for c in centers
-        ]
-        voltages = synthesize_pulse_train(events, 1, 450.0, duration_s)
-        voltages = NoiseModel(white_sigma=1e-4).apply(voltages, 450.0, rng=0)
-        return (
-            AcquiredTrace(voltages, 450.0, (500e3,)),
-            len(centers),
-        )
-
-    def test_streaming_matches_batch(self):
-        trace, n_true = self.make_trace()
-        server = AnalysisServer()
-        batch = server.analyze(trace)
-        streamed = server.analyze_streaming(trace, chunk_s=13.0)
-        assert batch.count == n_true
-        assert report_digest(streamed) == report_digest(batch)
-        assert server.jobs_processed == 2
-
-    def test_streaming_accounting(self):
-        trace, _ = self.make_trace(duration_s=60.0)
-        server = AnalysisServer()
-        server.analyze_streaming(trace)
-        assert server.total_processing_time_s > 0
-        assert len(server.history) == 1
-        assert server.last_job().report.count > 0

@@ -246,7 +246,6 @@ class TestResilientClient:
             drop_probability=0.2,
             timeout_probability=0.1,
             duplicate_probability=0.1,
-            network_timeout_s=0.5,
             deadline_s=30.0,
             retry=RetryPolicy(max_attempts=6, jitter_fraction=0.1),
         )

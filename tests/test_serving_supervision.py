@@ -21,6 +21,7 @@ from repro.serving import (
     PoisonRequestError,
     WorkerCrash,
 )
+from repro.serving.scheduler import POISON_THRESHOLD
 
 WORKLOAD = ClinicWorkload(n_tenants=2, requests_per_tenant=2, duration_s=6.0, seed=11)
 
@@ -117,9 +118,7 @@ class TestSupervision:
     def test_poison_request_quarantined(self):
         observer = Observer(metrics=MetricsRegistry(), events=EventLog())
         injector = CrashInjector({("clinic-01", 1): -1})  # crashes forever
-        scheduler, futures = run_fleet(
-            injector, observer=observer, poison_threshold=2
-        )
+        scheduler, futures = run_fleet(injector, observer=observer)
         assert scheduler.completed == WORKLOAD.n_requests - 1
         assert scheduler.failed == 1
         assert len(scheduler.dead_letters) == 1
@@ -127,20 +126,9 @@ class TestSupervision:
         assert poisoned.request.tenant_id == "clinic-01"
         assert isinstance(poisoned.exception(), PoisonRequestError)
         assert isinstance(poisoned.exception().last_crash, WorkerCrash)
-        # Crashed exactly poison_threshold times, then quarantined.
-        assert scheduler.worker_crashes == 2
+        # Crashed exactly POISON_THRESHOLD times, then quarantined.
+        assert scheduler.worker_crashes == POISON_THRESHOLD
         assert REQUEST_QUARANTINED in [e.kind for e in observer.events.events]
-
-    def test_unsupervised_crash_fails_request_without_restart(self):
-        injector = CrashInjector({("clinic-00", 1): 1})
-        scheduler, futures = run_fleet(
-            injector, supervise_workers=False, n_workers=3
-        )
-        assert scheduler.worker_restarts == 0
-        assert scheduler.failed == 1
-        failed = [f for f in futures if f.exception() is not None]
-        assert len(failed) == 1
-        assert isinstance(failed[0].exception(), WorkerCrash)
 
 
 class TestServerDedup:

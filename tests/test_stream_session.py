@@ -319,18 +319,17 @@ class TestRateController:
 
     def test_growth_needs_consecutive_clean_acks(self):
         config = StreamSessionConfig(
-            chunk_samples=512, min_chunk_samples=64, max_chunk_samples=512,
-            clean_acks_to_grow=3,
+            chunk_samples=512, min_chunk_samples=64, max_chunk_samples=512
         )
         controller = RateController(config)
         for _ in range(3):
             controller.on_backpressure()
         assert controller.chunk_samples == 64
-        controller.on_clean_ack()
-        controller.on_clean_ack()
+        for _ in range(3):
+            controller.on_clean_ack()
         controller.on_backpressure()  # resets the clean streak
-        controller.on_clean_ack()
-        controller.on_clean_ack()
+        for _ in range(3):
+            controller.on_clean_ack()
         assert controller.chunk_samples == 64
         controller.on_clean_ack()
         assert controller.chunk_samples == 128
