@@ -30,7 +30,7 @@ Package map
 ``repro.particles``     blood cells and password beads
 ``repro.dsp``           detrending, peak detection, features
 ``repro.cloud``         untrusted analysis server, storage, network
-``repro.mobile``        smartphone relay, USB link, perf models
+``repro.mobile``        smartphone relay, perf models
 ``repro.attacks``       eavesdropper baselines
 ``repro.analysis``      calibration fits, metrics, entropy
 ``repro.obs``           tracing, metrics registry, audit event log

@@ -20,13 +20,6 @@ from repro.analysis.metrics import (
 )
 from repro.analysis.keyaudit import KeyAuditReport, audit_schedule
 from repro.analysis.montecarlo import SessionStatistics, run_sessions
-from repro.analysis.roc import (
-    ThresholdPerformance,
-    auc,
-    required_volume_for_separation,
-    roc_curve,
-    threshold_performance,
-)
 from repro.analysis.repeatability import (
     counting_cv,
     empirical_cv,
@@ -39,11 +32,6 @@ __all__ = [
     "audit_schedule",
     "SessionStatistics",
     "run_sessions",
-    "ThresholdPerformance",
-    "auc",
-    "required_volume_for_separation",
-    "roc_curve",
-    "threshold_performance",
     "counting_cv",
     "empirical_cv",
     "is_repeatable",

@@ -6,7 +6,6 @@ it sees — so the attack suite (:mod:`repro.attacks`) can be pointed at
 exactly the information a compromised or nosy server would hold.
 """
 
-from repro.cloud.billing import Invoice, PriceSheet, UsageLedger
 from repro.cloud.api import (
     AnalysisRequest,
     AnalysisResponse,
@@ -24,9 +23,6 @@ from repro.cloud.storage import (
 )
 
 __all__ = [
-    "Invoice",
-    "PriceSheet",
-    "UsageLedger",
     "AnalysisRequest",
     "AnalysisResponse",
     "StoreRequest",

@@ -1,12 +1,10 @@
-"""The smartphone side: relay app, USB accessory link, performance model.
+"""The smartphone side: relay app and performance model.
 
 The phone is explicitly *outside* the trusted computing base (paper
 §II/§VI-D): it provides the user interface, shares its connectivity,
 compresses and relays encrypted captures to the cloud, and relays
 analysis outcomes back — all over ciphertext.
 
-* :mod:`~repro.mobile.usb` — the Android Open Accessory handshake
-  between the controller daemon and the phone app.
 * :mod:`~repro.mobile.phone` — the relay app (compression, upload,
   result forwarding) and a local-analysis mode for small captures.
 * :mod:`~repro.mobile.perf` — processing-time models of the paper's
@@ -14,19 +12,13 @@ analysis outcomes back — all over ciphertext.
   Figure 14 measurements.
 """
 
-from repro.mobile.app import AppState, DiagnosticApp
 from repro.mobile.perf import COMPUTER_I7, DevicePerfModel, NEXUS5
 from repro.mobile.phone import RelayOutcome, Smartphone
-from repro.mobile.usb import AccessoryLink, AccessoryState
 
 __all__ = [
-    "AppState",
-    "DiagnosticApp",
     "COMPUTER_I7",
     "DevicePerfModel",
     "NEXUS5",
     "RelayOutcome",
     "Smartphone",
-    "AccessoryLink",
-    "AccessoryState",
 ]

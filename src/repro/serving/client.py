@@ -154,9 +154,6 @@ class ResilientAnalysisClient:
     def last_processing_time_s(self):
         return self.backend.last_processing_time_s
 
-    def last_job(self):
-        return self.backend.last_job()
-
     # ------------------------------------------------------------------
     def analyze(self, trace: AcquiredTrace):
         """Analyse ``trace`` through the lossy link, retrying as allowed.

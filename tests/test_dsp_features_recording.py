@@ -77,6 +77,20 @@ class TestCsvRecording:
         assert float(first[1]) == pytest.approx(1.0)
         assert float(lines[1].split(",")[1]) == pytest.approx(0.998877)
 
+    @pytest.mark.parametrize(
+        "n_channels, n_samples, rate",
+        [(2, 900, 450.0), (3, 9000, 450.0), (5, 50, 100.0)],
+    )
+    def test_decode_inverts_encode(self, n_channels, n_samples, rate):
+        rng = np.random.default_rng(n_samples)
+        voltages = rng.normal(0.0, 1.5, size=(n_channels, n_samples))
+        model = CsvRecordingModel()
+        trace, decoded_rate = model.decode(model.encode(voltages, rate))
+        assert trace.shape == voltages.shape
+        # Values carry %.6f, timestamps %.4f: each within half a last digit.
+        assert np.abs(trace - voltages).max() <= 0.5e-6 + 1e-12
+        assert abs(1.0 / decoded_rate - 1.0 / rate) <= 0.5e-4 + 1e-12
+
     def test_estimate_matches_actual_encoding(self):
         """Within 3% of a real 60 s five-channel session capture."""
         device = MedSenSession(rng=4).device

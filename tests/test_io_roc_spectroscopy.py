@@ -1,111 +1,11 @@
-"""Capture file I/O, ROC analysis, and impedance spectroscopy."""
+"""Impedance spectroscopy."""
 
 import numpy as np
 import pytest
 
 from repro._util.errors import ValidationError
-from repro.analysis.roc import (
-    auc,
-    probability_measured_below,
-    required_volume_for_separation,
-    roc_curve,
-    threshold_performance,
-)
-from repro.hardware.acquisition import AcquiredTrace
-from repro.io.capture_files import read_capture, write_capture
 from repro.physics.electrical import ElectrodePairCircuit
 from repro.physics.spectroscopy import fit_circuit, sweep_impedance
-
-
-def make_trace(n_samples=900, n_channels=2, seed=0):
-    rng = np.random.default_rng(seed)
-    voltages = 1.0 + rng.normal(0, 1e-4, size=(n_channels, n_samples))
-    return AcquiredTrace(voltages, 450.0, tuple(500e3 * (i + 1) for i in range(n_channels)))
-
-
-class TestCaptureFiles:
-    def test_roundtrip_plain(self, tmp_path):
-        trace = make_trace()
-        write_capture(tmp_path, "run1", trace, encrypted=True)
-        recovered, metadata = read_capture(tmp_path, "run1")
-        assert recovered.n_channels == trace.n_channels
-        assert recovered.n_samples == trace.n_samples
-        assert metadata.encrypted and not metadata.compressed
-        # CSV stores 6 decimals.
-        assert np.allclose(recovered.voltages, trace.voltages, atol=1e-6)
-
-    def test_roundtrip_compressed(self, tmp_path):
-        trace = make_trace()
-        path = write_capture(tmp_path, "run2", trace, compress=True)
-        assert path.suffix == ".zz"
-        recovered, metadata = read_capture(tmp_path, "run2")
-        assert metadata.compressed
-        assert np.allclose(recovered.voltages, trace.voltages, atol=1e-6)
-
-    def test_compression_shrinks_file(self, tmp_path):
-        trace = make_trace(n_samples=9000)
-        plain = write_capture(tmp_path, "p", trace, compress=False)
-        packed = write_capture(tmp_path, "z", trace, compress=True)
-        assert packed.stat().st_size < plain.stat().st_size
-
-    def test_missing_capture_raises(self, tmp_path):
-        with pytest.raises(ValidationError):
-            read_capture(tmp_path, "nothing")
-
-    def test_invalid_name_rejected(self, tmp_path):
-        with pytest.raises(ValidationError):
-            write_capture(tmp_path, "a/b", make_trace())
-
-    def test_metadata_preserves_carriers(self, tmp_path):
-        trace = make_trace(n_channels=3)
-        write_capture(tmp_path, "run3", trace)
-        recovered, metadata = read_capture(tmp_path, "run3")
-        assert metadata.carrier_frequencies_hz == trace.carrier_frequencies_hz
-
-
-VOLUME = 0.3
-
-
-class TestRoc:
-    def test_probability_monotone_in_truth(self):
-        low = probability_measured_below(150.0, 200.0, VOLUME)
-        high = probability_measured_below(400.0, 200.0, VOLUME)
-        assert low > 0.5 > high
-
-    def test_threshold_performance_reasonable(self):
-        perf = threshold_performance(200.0, 120.0, 450.0, VOLUME)
-        assert perf.sensitivity > 0.9
-        assert perf.specificity > 0.9
-        assert 0.8 < perf.youden_j <= 1.0
-
-    def test_roc_curve_and_auc(self):
-        points = roc_curve(120.0, 450.0, VOLUME, thresholds_per_ul=np.linspace(60, 600, 15))
-        assert auc(points) > 0.95
-        # Sensitivity increases with threshold.
-        sens = [p.sensitivity for p in points]
-        assert all(b >= a - 1e-9 for a, b in zip(sens, sens[1:]))
-
-    def test_more_volume_better_separation(self):
-        tight = threshold_performance(200.0, 160.0, 260.0, 0.05)
-        generous = threshold_performance(200.0, 160.0, 260.0, 2.0)
-        assert generous.youden_j > tight.youden_j
-
-    def test_required_volume(self):
-        volume = required_volume_for_separation(160.0, 260.0, target_youden_j=0.9)
-        perf = threshold_performance(
-            (0.5 * (np.sqrt(160) + np.sqrt(260))) ** 2, 160.0, 260.0, volume
-        )
-        assert perf.youden_j >= 0.9
-
-    def test_unreachable_separation_raises(self):
-        with pytest.raises(ValidationError):
-            required_volume_for_separation(
-                199.0, 201.0, target_youden_j=0.999, max_volume_ul=0.1
-            )
-
-    def test_invalid_ordering_rejected(self):
-        with pytest.raises(ValidationError):
-            threshold_performance(200.0, 450.0, 120.0, VOLUME)
 
 
 class TestSpectroscopy:

@@ -1,9 +1,8 @@
-"""Smartphone side: perf models, USB link, relay app."""
+"""Smartphone side: perf models and relay app."""
 
 import numpy as np
 import pytest
 
-from repro._util.errors import ConfigurationError
 from repro.cloud.server import AnalysisServer
 from repro.hardware.acquisition import AcquiredTrace
 from repro.mobile.perf import (
@@ -15,7 +14,6 @@ from repro.mobile.perf import (
     DevicePerfModel,
 )
 from repro.mobile.phone import Smartphone
-from repro.mobile.usb import AccessoryLink, AccessoryState
 from repro.physics.peaks import PulseEvent, synthesize_pulse_train
 
 
@@ -52,61 +50,6 @@ class TestPerfModels:
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
             COMPUTER_I7.processing_time_s(-1)
-
-
-class TestAccessoryLink:
-    def test_handshake_with_app(self):
-        link = AccessoryLink()
-        identity = link.plug_in()
-        assert identity["manufacturer"] == "MedSen"
-        assert link.phone_responds(app_installed=True) is AccessoryState.CONNECTED
-
-    def test_handshake_without_app(self):
-        link = AccessoryLink()
-        link.plug_in()
-        assert link.phone_responds(app_installed=False) is AccessoryState.AWAITING_APP
-        assert link.app_installed() is AccessoryState.CONNECTED
-
-    def test_message_exchange(self):
-        link = AccessoryLink()
-        link.plug_in()
-        link.phone_responds(app_installed=True)
-        link.accessory_send(b"encrypted-capture")
-        assert link.phone_receive() == b"encrypted-capture"
-        link.phone_send(b"peak-report")
-        assert link.accessory_receive() == b"peak-report"
-        assert link.bytes_transferred == len(b"encrypted-capture") + len(b"peak-report")
-
-    def test_receive_empty_returns_none(self):
-        link = AccessoryLink()
-        link.plug_in()
-        link.phone_responds(app_installed=True)
-        assert link.phone_receive() is None
-
-    def test_send_while_disconnected_rejected(self):
-        link = AccessoryLink()
-        with pytest.raises(ConfigurationError):
-            link.accessory_send(b"data")
-
-    def test_unplug_drops_queues(self):
-        link = AccessoryLink()
-        link.plug_in()
-        link.phone_responds(app_installed=True)
-        link.accessory_send(b"data")
-        link.unplug()
-        assert link.state is AccessoryState.DISCONNECTED
-        with pytest.raises(ConfigurationError):
-            link.phone_receive()
-
-    def test_double_plug_in_rejected(self):
-        link = AccessoryLink()
-        link.plug_in()
-        with pytest.raises(ConfigurationError):
-            link.plug_in()
-
-    def test_missing_identity_keys_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AccessoryLink(identity={"manufacturer": "X"})
 
 
 def make_trace(duration=10.0, n_peaks=3):

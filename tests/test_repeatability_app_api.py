@@ -1,9 +1,9 @@
-"""Repeatability model, app state machine, cloud message protocol."""
+"""Repeatability model and cloud message protocol."""
 
 import numpy as np
 import pytest
 
-from repro._util.errors import ConfigurationError, ValidationError
+from repro._util.errors import ValidationError
 from repro.analysis.repeatability import (
     counting_cv,
     empirical_cv,
@@ -18,8 +18,6 @@ from repro.cloud.api import (
     report_to_dict,
 )
 from repro.dsp.peakdetect import DetectedPeak, PeakReport
-from repro.mobile.app import AppState, DiagnosticApp
-from repro.mobile.usb import AccessoryLink
 
 
 class TestRepeatability:
@@ -54,67 +52,6 @@ class TestRepeatability:
             empirical_cv([5])
         with pytest.raises(ValidationError):
             empirical_cv([0, 0])
-
-
-def connected_app():
-    link = AccessoryLink()
-    link.plug_in()
-    link.phone_responds(app_installed=True)
-    app = DiagnosticApp(link=link)
-    app.device_connected()
-    return app
-
-
-class TestDiagnosticApp:
-    def test_happy_path(self):
-        app = connected_app()
-        app.start_test()
-        app.capture_complete()
-        app.upload_complete()
-        app.result_received("CD4: 412/µL — moderate")
-        assert app.state is AppState.SHOWING_RESULT
-        assert app.result_text == "CD4: 412/µL — moderate"
-        app.acknowledge_result()
-        assert app.state is AppState.READY
-
-    def test_progression_log_records_feedback(self):
-        app = connected_app()
-        app.start_test()
-        app.capture_complete()
-        states = [state for state, _ in app.progression_log]
-        assert states == [AppState.READY, AppState.TEST_RUNNING, AppState.UPLOADING]
-
-    def test_illegal_transition_rejected(self):
-        app = connected_app()
-        with pytest.raises(ConfigurationError):
-            app.capture_complete()  # test was never started
-
-    def test_error_and_reset(self):
-        app = connected_app()
-        app.start_test()
-        app.fail("upload timed out")
-        assert app.state is AppState.ERROR
-        app.reset()
-        assert app.state is AppState.WAITING_FOR_DEVICE
-        assert app.result_text is None
-
-    def test_reset_only_from_error(self):
-        app = connected_app()
-        with pytest.raises(ConfigurationError):
-            app.reset()
-
-    def test_requires_connected_link(self):
-        app = DiagnosticApp()
-        with pytest.raises(ConfigurationError):
-            app.device_connected()
-
-    def test_empty_result_rejected(self):
-        app = connected_app()
-        app.start_test()
-        app.capture_complete()
-        app.upload_complete()
-        with pytest.raises(ConfigurationError):
-            app.result_received("")
 
 
 def sample_report():
