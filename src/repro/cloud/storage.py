@@ -238,14 +238,21 @@ class RecordStore:
         return record
 
     # ------------------------------------------------------------------
-    def fetch(self, identifier_key: str) -> Tuple[StoredRecord, ...]:
-        """All records stored under an identifier (oldest first).
+    def fetch(self, identifier_key: str, start: int = 0) -> Tuple[StoredRecord, ...]:
+        """Records stored under an identifier (oldest first).
 
-        Raises :class:`RecordCorrupted` if any stored record fails its
+        ``start`` skips the first ``start`` records, so a caller that
+        keeps a cursor into an identifier's log reads (and verifies)
+        only what was appended since; an identifier's log only grows
+        until :meth:`delete_identifier`.
+
+        Raises :class:`RecordCorrupted` if any returned record fails its
         checksum — corruption is surfaced, never silently returned.
         """
+        if start < 0:
+            raise ConfigurationError(f"start must be >= 0, got {start}")
         with self._lock:
-            records = tuple(self._records.get(identifier_key, ()))
+            records = tuple(self._records.get(identifier_key, ())[start:])
         return tuple(self._verify_record(record) for record in records)
 
     def fetch_latest(self, identifier_key: str) -> StoredRecord:

@@ -28,9 +28,11 @@ layer's total-parsing contract.
 """
 
 import os
+import socket
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from multiprocessing.connection import wait
+from typing import Callable, Dict, Optional, Tuple
 
 from repro._util.errors import (
     ConfigurationError,
@@ -67,7 +69,13 @@ from repro.fleet.messages import (
     SubmitResponse,
 )
 from repro.fleet.transport import FrameChannel
-from repro.obs import RECORD_QUARANTINED, SHARD_RECOVERED, Observer, context_or_none
+from repro.obs import (
+    MONOTONIC_CLOCK,
+    RECORD_QUARANTINED,
+    SHARD_RECOVERED,
+    Observer,
+    context_or_none,
+)
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.journal import (
@@ -84,9 +92,6 @@ from repro.serving.scheduler import FleetConfig, FleetScheduler
 #: from cache instead of re-run (idempotent ingest across the process
 #: boundary, same contract as the in-process request-id dedup).
 DEDUP_CAPACITY = 4096
-
-#: Main-loop poll interval while idle (seconds).
-POLL_S = 0.005
 
 
 @dataclass(frozen=True)
@@ -119,11 +124,22 @@ def store_content_hashes(store: RecordStore) -> Tuple[str, ...]:
 
 
 class _ShardRuntime:
-    """Mutable state of one running shard (wrapped for testability)."""
+    """Mutable state of one running shard (wrapped for testability).
 
-    def __init__(self, spec: ShardSpec, channel: FrameChannel) -> None:
+    ``on_done`` is registered on every accepted session's future and
+    runs on the worker thread that finishes it; :func:`shard_main`
+    uses it to wake its loop so the reply goes out at once.
+    """
+
+    def __init__(
+        self,
+        spec: ShardSpec,
+        channel: FrameChannel,
+        on_done: Callable[[object], None] = lambda future: None,
+    ) -> None:
         self.spec = spec
         self.channel = channel
+        self.on_done = on_done
         # Fresh per-process sinks: the parent merges shard telemetry
         # explicitly; sharing the process-default registry would alias
         # instruments if a test drives shard_main in-process.
@@ -173,11 +189,16 @@ class _ShardRuntime:
         # dedup on the primary side, apply dedup on the standby side.
         # Seeded from recovery so a respawned shard never re-ships or
         # re-applies what its journal already holds.
-        self._known_hashes = {
-            record_content_hash(record)
-            for identifier_key in store.identifiers()
-            for record in store.fetch(identifier_key)
-        }
+        self._known_hashes = set()
+        # identifier key -> how many of its records shipping has
+        # examined.  Every examined record's hash is in _known_hashes,
+        # so re-examining it could only skip it: shipping reads just
+        # the tail past the cursor.
+        self._examined: Dict[str, int] = {}
+        for identifier_key in store.identifiers():
+            records = store.fetch(identifier_key)
+            self._known_hashes.update(record_content_hash(r) for r in records)
+            self._examined[identifier_key] = len(records)
 
     # ------------------------------------------------------------------
     @property
@@ -306,6 +327,7 @@ class _ShardRuntime:
             return
         assert future.request.tenant_sequence == msg.tenant_sequence
         self.pending[msg_id] = future
+        future.add_done_callback(self.on_done)
 
     def sweep(self) -> None:
         """Send terminal replies for every finished in-flight session."""
@@ -354,16 +376,25 @@ class _ShardRuntime:
         lines of every not-yet-shipped record under the session's key
         (newline-joined; normally exactly one), so the front door can
         forward verbatim journal bytes to the standby before acking.
+        Each record is examined once: only the key's records past its
+        cursor are fetched (and checksum-verified) and hashed, so a
+        reply costs O(1) however long the key's history grows.  A
+        shard's per-key logs only grow (it never deletes identifiers).
         """
         if not self.spec.replicated or not record_key:
             return None
+        started = MONOTONIC_CLOCK()
+        start = self._examined.get(record_key, 0)
+        records = self.store.fetch(record_key, start=start)
+        self._examined[record_key] = start + len(records)
         lines = []
-        for record in self.store.fetch(record_key):
+        for record in records:
             content_hash = record_content_hash(record)
             if content_hash in self._known_hashes:
                 continue
             self._known_hashes.add(content_hash)
             lines.append(encode_entry(record))
+        self.observer.observe("fleet.ship_prepare_s", MONOTONIC_CLOCK() - started)
         return "\n".join(lines) if lines else None
 
     # ------------------------------------------------------------------
@@ -397,6 +428,7 @@ class _ShardRuntime:
         re-journaled locally so a promoted standby recovers
         bit-identically after its own crash.
         """
+        started = MONOTONIC_CLOCK()
         applied = duplicates = quarantined = 0
         for line in msg.entries:
             try:
@@ -420,6 +452,7 @@ class _ShardRuntime:
             if self.journal is not None:
                 self.journal.append(record)
             applied += 1
+        self.observer.observe("replica.apply_s", MONOTONIC_CLOCK() - started)
         self.replica_applied += applied
         self.replica_duplicates += duplicates
         self.replica_quarantined += quarantined
@@ -547,9 +580,26 @@ def shard_main(spec: ShardSpec, conn) -> None:
     parent and draining inbound frames; drain/shutdown requests are
     acknowledged only once every in-flight session has been answered,
     so a clean drain never loses accepted work.
+
+    The loop blocks until a frame arrives or a session finishes: each
+    finished session's future writes one byte to a socketpair that the
+    loop waits on alongside the pipe, so a reply leaves as soon as its
+    session ends and an idle shard wakes on no timer.  A byte is
+    written only after the future is done, and the loop drains the
+    socket before it sweeps, so no completion is missed.
     """
     channel = FrameChannel(conn)
-    runtime = _ShardRuntime(spec, channel)
+    wake_recv, wake_send = socket.socketpair()
+    wake_recv.setblocking(False)
+    wake_send.setblocking(False)
+
+    def wake(_future) -> None:
+        try:
+            wake_send.send(b"\0")
+        except OSError:
+            pass  # buffer full (a wake is already pending) or closed
+
+    runtime = _ShardRuntime(spec, channel, on_done=wake)
     try:
         while True:
             runtime.sweep()
@@ -563,7 +613,13 @@ def shard_main(spec: ShardSpec, conn) -> None:
                         runtime.journal.close()
                     channel.send(runtime.shutdown_reply, Ack(shard_id=spec.shard_id))
                     return
-            if not channel.poll(POLL_S):
+            ready = wait([conn, wake_recv])
+            if wake_recv in ready:
+                try:
+                    wake_recv.recv(4096)
+                except BlockingIOError:
+                    pass
+            if conn not in ready:
                 continue
             try:
                 msg_id, msg = channel.recv()
@@ -595,3 +651,5 @@ def shard_main(spec: ShardSpec, conn) -> None:
                 runtime.journal.close()
         except Exception:
             pass
+        wake_recv.close()
+        wake_send.close()

@@ -105,10 +105,6 @@ class FrameChannel:
         self.conn.send_bytes(encode_frame(msg_id, payload))
         self.frames_sent += 1
 
-    def poll(self, timeout: float = 0.0) -> bool:
-        """Whether a frame is ready to receive."""
-        return self.conn.poll(timeout)
-
     def recv(self) -> Tuple[int, Any]:
         """Receive one frame (blocking).
 

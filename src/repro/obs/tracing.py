@@ -32,6 +32,11 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from repro.obs.clock import MONOTONIC_CLOCK, Clock
 from repro.obs.context import TraceContext
 
+#: Most root spans a :class:`Tracer` retains; the oldest is dropped
+#: first.  Matches the :class:`~repro.obs.events.EventLog` ring, so a
+#: long-lived process (a fleet shard) keeps a bounded recent window.
+MAX_ROOTS = 1024
+
 
 class Span:
     """One timed operation; a node in the trace tree.
@@ -147,6 +152,9 @@ class Span:
 class Tracer:
     """Collects a forest of spans from one instrumented run.
 
+    At most :data:`MAX_ROOTS` root spans (with their trees) are kept;
+    the oldest root is dropped first.
+
     Parameters
     ----------
     clock:
@@ -248,6 +256,8 @@ class Tracer:
                 span.trace_id = self._next_trace_id()
             with self._roots_lock:
                 self.roots.append(span)
+                if len(self.roots) > MAX_ROOTS:
+                    del self.roots[0]
         stack.append(span)
 
     def _close(self, span: Span) -> None:

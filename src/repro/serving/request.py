@@ -11,9 +11,10 @@ same submissions (the concurrency determinism guarantee,
 """
 
 import hashlib
+import logging
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -95,7 +96,8 @@ class SessionFuture:
     """Caller-side handle on a queued request.
 
     Thread-safe: the scheduler's worker resolves it; any number of
-    threads may :meth:`wait` / :meth:`result`.
+    threads may :meth:`wait` / :meth:`result`, and any thread may
+    :meth:`add_done_callback` to be told when it finishes.
     """
 
     request: SessionRequest
@@ -105,6 +107,12 @@ class SessionFuture:
     _result: Optional[object] = None
     _error: Optional[BaseException] = None
     _done: threading.Event = field(default_factory=threading.Event)
+    _callbacks: List[Callable[["SessionFuture"], None]] = field(
+        default_factory=list, repr=False
+    )
+    _callbacks_lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False
+    )
 
     # ------------------------------------------------------------------
     def done(self) -> bool:
@@ -137,6 +145,21 @@ class SessionFuture:
             )
         return self._error
 
+    def add_done_callback(self, fn: Callable[["SessionFuture"], None]) -> None:
+        """Call ``fn(future)`` once, when the request reaches a terminal state.
+
+        ``fn`` runs on the thread that finishes the request (a scheduler
+        worker), or at once on the calling thread if the request is
+        already done.  An exception raised by ``fn`` is logged and
+        ignored: a faulty observer must never take down the worker that
+        resolved the request.
+        """
+        with self._callbacks_lock:
+            if not self._done.is_set():
+                self._callbacks.append(fn)
+                return
+        _run_callback(fn, self)
+
     # ------------------------------------------------------------------
     # Scheduler-side transitions
     # ------------------------------------------------------------------
@@ -146,9 +169,25 @@ class SessionFuture:
     def _resolve(self, result: object) -> None:
         self._result = result
         self.state = RequestState.COMPLETED
-        self._done.set()
+        self._finish()
 
     def _fail(self, error: BaseException, rejected: bool = False) -> None:
         self._error = error
         self.state = RequestState.REJECTED if rejected else RequestState.FAILED
-        self._done.set()
+        self._finish()
+
+    def _finish(self) -> None:
+        with self._callbacks_lock:
+            self._done.set()
+            callbacks, self._callbacks = self._callbacks, []
+        for fn in callbacks:
+            _run_callback(fn, self)
+
+
+def _run_callback(fn: Callable[[SessionFuture], None], future: SessionFuture) -> None:
+    try:
+        fn(future)
+    except Exception:  # noqa: BLE001 - see SessionFuture.add_done_callback
+        logging.getLogger(__name__).exception(
+            "done callback %r raised for request %s", fn, future.request.sequence
+        )

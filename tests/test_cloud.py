@@ -1,6 +1,7 @@
 """Cloud side: analysis server, record store, network model."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from repro._util.errors import ConfigurationError
 from repro.cloud.network import NetworkModel
 from repro.cloud.server import AnalysisServer
-from repro.cloud.storage import RecordStore
+from repro.cloud.storage import RecordCorrupted, RecordStore
 from repro.dsp.peakdetect import PeakReport
 from repro.hardware.acquisition import AcquiredTrace
 from repro.physics.peaks import PulseEvent, synthesize_pulse_train
@@ -129,6 +130,20 @@ class TestRecordStore:
 
     def test_fetch_unknown_empty(self):
         assert RecordStore().fetch("nothing") == ()
+
+    def test_fetch_from_start_reads_and_verifies_only_the_tail(self):
+        store = RecordStore()
+        records = [store.store("id", self.report()) for _ in range(3)]
+        assert store.fetch("id", start=1) == tuple(records[1:])
+        assert store.fetch("id", start=3) == ()
+        assert store.fetch("id", start=9) == ()
+        # A damaged record before the cursor is not read again.
+        store._records["id"][0] = replace(records[0], checksum=records[0].checksum ^ 1)
+        assert store.fetch("id", start=1) == tuple(records[1:])
+        with pytest.raises(RecordCorrupted):
+            store.fetch("id")
+        with pytest.raises(ConfigurationError):
+            store.fetch("id", start=-1)
 
     def test_fetch_latest_unknown_raises(self):
         with pytest.raises(LookupError):

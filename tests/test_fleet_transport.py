@@ -67,7 +67,7 @@ class TestFrameChannel:
         try:
             a, b = FrameChannel(parent), FrameChannel(child)
             a.send(11, "hello")
-            assert b.poll(1.0)
+            assert child.poll(1.0)
             assert b.recv() == (11, "hello")
             assert a.frames_sent == 1
             assert b.frames_received == 1

@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs import ManualClock, NullObserver, Observer, Tracer
 from repro.obs.render import format_span_tree
+from repro.obs.tracing import MAX_ROOTS
 
 
 @pytest.fixture
@@ -88,6 +89,18 @@ class TestNesting:
     def test_reset_clears(self, tracer):
         with tracer.span("x"):
             pass
+        tracer.reset()
+        assert tracer.roots == []
+
+    def test_retained_roots_are_bounded_oldest_first(self, tracer):
+        for index in range(MAX_ROOTS + 6):
+            with tracer.span(f"request-{index}"):
+                with tracer.span("child"):
+                    pass
+        assert MAX_ROOTS == 1024
+        assert len(tracer.roots) == MAX_ROOTS
+        assert tracer.roots[0].name == "request-6"
+        assert tracer.roots[-1].name == f"request-{MAX_ROOTS + 5}"
         tracer.reset()
         assert tracer.roots == []
 

@@ -1,5 +1,8 @@
 """Fleet scheduler: determinism under concurrency, backpressure, events."""
 
+import sys
+import threading
+
 import pytest
 
 from repro._util.errors import MedSenError
@@ -19,6 +22,7 @@ from repro.serving import (
     derive_request_rng,
     run_clinic,
 )
+from repro.serving.request import RequestState, SessionFuture, SessionRequest
 
 WORKLOAD = ClinicWorkload(n_tenants=2, requests_per_tenant=2, duration_s=8.0, seed=11)
 
@@ -263,3 +267,134 @@ class TestGuardedFleet:
                 )
         baseline = fleet_outcomes(n_workers=2)
         assert outcomes == {key: value[:2] for key, value in baseline.items()}
+
+
+class Gate:
+    """fault_injector that holds every session until ``opened`` is set."""
+
+    def __init__(self):
+        self.opened = threading.Event()
+
+    def on_request_start(self, tenant_id, sequence, attempt=0):
+        self.opened.wait(timeout=60)
+
+    def sensor_fault_model(self, tenant_id, sequence):
+        return None
+
+
+class TestDoneCallback:
+    def future(self):
+        return SessionFuture(request=SessionRequest("clinic-00", None, None))
+
+    def finish_on_worker(self, finish):
+        worker = threading.Thread(target=finish)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+
+    @pytest.mark.parametrize(
+        "finish, state",
+        [
+            (lambda f: f._resolve("result"), RequestState.COMPLETED),
+            (lambda f: f._fail(RuntimeError("boom")), RequestState.FAILED),
+            (
+                lambda f: f._fail(QueueFull("full"), rejected=True),
+                RequestState.REJECTED,
+            ),
+        ],
+        ids=["resolve", "fail", "rejected"],
+    )
+    def test_runs_once_when_the_future_finishes(self, finish, state):
+        future = self.future()
+        seen = []
+        future.add_done_callback(lambda f: seen.append((f, f.done(), f.state)))
+        assert seen == []
+        self.finish_on_worker(lambda: finish(future))
+        assert seen == [(future, True, state)]
+
+    def test_added_after_completion_runs_at_once_and_once(self):
+        future = self.future()
+        future._resolve("result")
+        seen = []
+        future.add_done_callback(seen.append)
+        assert seen == [future]
+
+    def test_raising_callback_is_contained(self, caplog):
+        future = self.future()
+        seen = []
+
+        def explode(f):
+            raise RuntimeError("observer bug")
+
+        future.add_done_callback(explode)
+        future.add_done_callback(seen.append)
+        future._resolve("result")  # the resolving thread never sees it
+        assert seen == [future]
+        future.add_done_callback(explode)  # nor does a late registrant
+        logged = [record.exc_info[1] for record in caplog.records]
+        assert [str(error) for error in logged] == ["observer bug"] * 2
+
+    def test_racing_registration_runs_every_callback_once(self):
+        # Registration races resolution on another thread; a lost or
+        # doubled callback would show in the counts.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            futures = [self.future() for _ in range(400)]
+            counts = [0] * len(futures)
+
+            def resolve_all():
+                for future in futures:
+                    future._resolve("result")
+
+            def register_all():
+                for index, future in enumerate(futures):
+                    future.add_done_callback(
+                        lambda f, index=index: counts.__setitem__(
+                            index, counts[index] + 1
+                        )
+                    )
+
+            threads = [
+                threading.Thread(target=resolve_all),
+                threading.Thread(target=register_all),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [1] * len(futures)
+
+    def test_scheduler_survives_a_raising_callback(self):
+        gate = Gate()
+        config = FleetConfig(seed=11, n_workers=1, queue_capacity=4)
+        with FleetScheduler(config, fault_injector=gate) as scheduler:
+            identifiers = WORKLOAD.identifiers(scheduler.device_config)
+            tenant = WORKLOAD.tenant_ids()[0]
+            scheduler.register_tenant(tenant, identifiers[tenant])
+            submit = lambda sequence: scheduler.submit(  # noqa: E731
+                tenant,
+                WORKLOAD.blood_sample(0, sequence),
+                identifiers[tenant],
+                duration_s=8.0,
+            )
+            first = submit(0)
+            calls = []
+
+            def explode(future):
+                calls.append(future)
+                raise RuntimeError("observer bug")
+
+            # The gate holds the session, so the callback runs on the
+            # scheduler's only worker.
+            first.add_done_callback(explode)
+            gate.opened.set()
+            second = submit(1)
+            first.result(timeout=120)
+            second.result(timeout=120)
+        assert calls == [first]
+        assert scheduler.completed == 2
+
