@@ -53,12 +53,18 @@ def derive_key(secret: bytes, label: bytes) -> bytes:
 
 
 def keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """SHA-256 counter-mode keystream of ``length`` bytes."""
-    n_blocks = -(-length // 32)
-    return b"".join(
-        hashlib.sha256(key + nonce + counter.to_bytes(8, "little")).digest()
-        for counter in range(n_blocks)
-    )[:length]
+    """SHA-256 counter-mode keystream of ``length`` bytes.
+
+    Block ``i`` is ``SHA-256(key || nonce || i as 8-byte little endian)``;
+    the shared ``key || nonce`` prefix is hashed once and copied.
+    """
+    prefix = hashlib.sha256(key + nonce)
+    blocks = []
+    for counter in range(-(-length // 32)):
+        block = prefix.copy()
+        block.update(counter.to_bytes(8, "little"))
+        blocks.append(block.digest())
+    return b"".join(blocks)[:length]
 
 
 def mac(secret: bytes, label: bytes, body: bytes) -> bytes:

@@ -42,6 +42,10 @@ retained tail.  The prominence *value* of the trimmed region is
 preserved exactly by the monotone stack (each entry is a value and the
 minimum of the segment it folded), which answers "minimum left of the
 tail until the first sample exceeding ``h``" without the samples.
+The cut also stays at or before the start of every candidate's
+amplitude window, including candidates the local-maxima scan has yet
+to reach, whose windows start at most half a window before the scan
+position.
 
 Known measure-zero caveat: scipy's distance selection breaks *exact*
 peak-height ties with an unstable global argsort; this implementation
@@ -201,8 +205,8 @@ class _MonotoneStack:
     """Summary of trimmed history for left prominence walks.
 
     Entries are ``(value, segment_min)`` in chronological order, with
-    strictly decreasing values front to back... inverted: pushing ``v``
-    folds every entry whose value is ``<= v`` (a left walk that passes
+    strictly decreasing values oldest to newest: pushing ``v`` folds
+    every newer entry whose value is ``<= v`` (a left walk that passes
     ``v`` would have passed them too).  ``query(h)`` returns the
     minimum over the suffix of history a walk bounded by barrier value
     ``> h`` can reach, and whether a barrier exists at all.
@@ -216,12 +220,43 @@ class _MonotoneStack:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def push(self, value: float) -> None:
-        seg_min = value
+    def extend(self, values: np.ndarray) -> None:
+        """Push ``values`` in order, leaving the entries that pushing
+        them one at a time would leave, float bits included.
+
+        A NaN compares false both ways, so it is an entry that folds
+        nothing and that nothing later folds: it splits the batch into
+        runs that are pushed independently.
+        """
+        start = 0
+        for stop in np.flatnonzero(np.isnan(values)).tolist():
+            self._extend_run(values[start:stop])
+            nan = float(values[stop])
+            self._entries.append((nan, nan))
+            start = stop + 1
+        self._extend_run(values[start:])
+
+    def _extend_run(self, run: np.ndarray) -> None:
+        if run.shape[0] == 0:
+            return
+        # Survivors are the strict suffix maxima: any later value that
+        # is >= folds an entry.  Each survivor folds the run since the
+        # previous survivor.
+        later_max = np.maximum.accumulate(run[::-1])[::-1]
+        ends = np.flatnonzero(np.append(run[:-1] > later_max[1:], True))
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        mins = np.minimum.reduceat(run, starts)
+        # One-at-a-time folding keeps the newest of equal minima (the
+        # sign of a zero), so take that element rather than ``mins``.
+        at_min = np.flatnonzero(run == np.repeat(mins, ends - starts + 1))
+        newest = at_min[np.searchsorted(at_min, ends, side="right") - 1]
+        values = run[ends].tolist()
+        seg_mins = run[newest].tolist()
+        # Only the first survivor, the run maximum, reaches older entries.
         entries = self._entries
-        while entries and entries[-1][0] <= value:
-            seg_min = min(seg_min, entries.pop()[1])
-        entries.append((value, seg_min))
+        while entries and entries[-1][0] <= values[0]:
+            seg_mins[0] = min(seg_mins[0], entries.pop()[1])
+        entries.extend(zip(values, seg_mins))
 
     def query(self, h: float) -> Tuple[float, bool]:
         """Min over reachable trimmed history; True if a barrier stops it."""
@@ -365,7 +400,11 @@ class ExactPeakStream:
             # Tie-free fast path: strict interior maxima, and the
             # plateau machinery can neither defer nor skip anything.
             interior = region[1:-1]
-            mask = (region[:-2] < interior) & (interior > region[2:])
+            mask = (
+                (region[:-2] < interior)
+                & (interior > region[2:])
+                & (self.threshold <= interior)
+            )
             for rel in np.nonzero(mask)[0]:
                 self._candidate(self._scan_i + rel)
             self._scan_i = L - 1
@@ -415,6 +454,9 @@ class ExactPeakStream:
     ) -> Tuple[List[Tuple[int, float, float]], float]:
         """Walk left from ``p`` as scipy's prominence walk would.
 
+        The walk is array passes with the scalar walk's comparisons: the
+        nearest sample ``> h`` is the barrier, and below it a record is
+        a sample strictly below ``h`` and everything nearer the peak.
         Returns the strictly-descending running-minima records
         ``(pos, value, next_value)`` found inside the retained tail and
         the left minimum (folding in the trimmed-history stack when the
@@ -422,17 +464,19 @@ class ExactPeakStream:
         """
         x = self._tail[self.channel]
         base = self._tail_base
-        records: List[Tuple[int, float, float]] = []
-        cur = h
-        i = p - 1
-        while i >= base:
-            v = float(x[i - base])
-            if v > h:
-                return records, cur  # barrier stops the walk
-            if v < cur:
-                records.append((i, v, float(x[i + 1 - base])))
-                cur = v
-            i -= 1
+        left = x[: p - base]
+        barrier = np.flatnonzero(left > h)
+        start = int(barrier[-1]) + 1 if barrier.shape[0] else 0
+        walk = left[start:][::-1]
+        # fmin, unlike minimum, skips NaN as the scalar ``v < cur`` does.
+        running = np.fmin.accumulate(np.concatenate(([h], walk)))
+        at = (p - base - 1) - np.flatnonzero(walk < running[:-1])
+        records = list(
+            zip((at + base).tolist(), x[at].tolist(), x[at + 1].tolist())
+        )
+        cur = records[-1][1] if records else h
+        if barrier.shape[0]:
+            return records, cur  # barrier stops the walk
         trimmed_min, _ = self._stack.query(h)
         return records, min(cur, trimmed_min)
 
@@ -595,7 +639,10 @@ class ExactPeakStream:
     def _trim(self) -> None:
         if self._tail.shape[1] <= self._trim_threshold:
             return
-        bound = self._scan_i - 1
+        # A candidate the scan has yet to find sits at or after
+        # ``_scan_i``, and its amplitude window starts half a window
+        # before it.
+        bound = self._scan_i - self.half_window
         for peak in self._pending:
             bound = min(bound, peak["lo"], peak["p"])
         for peak in self._amp_jobs:
@@ -611,8 +658,7 @@ class ExactPeakStream:
         if eligible.shape[0] == 0:
             return
         cut = self._tail_base + 1 + int(eligible[-1])
-        for value in x[: cut - self._tail_base]:
-            self._stack.push(float(value))
+        self._stack.extend(x[: cut - self._tail_base])
         self._tail = self._tail[:, cut - self._tail_base :]
         self._tail_base = cut
 

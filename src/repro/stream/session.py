@@ -194,7 +194,6 @@ class _Session:
         "n_samples",
         "n_duplicates",
         "heartbeats",
-        "outcome",
     )
 
     def __init__(
@@ -223,7 +222,6 @@ class _Session:
         self.n_samples = 0
         self.n_duplicates = 0
         self.heartbeats = 0
-        self.outcome: Optional[StreamOutcome] = None
 
 
 class StreamGateway:
@@ -633,8 +631,10 @@ class StreamGateway:
         The returned report is bit-identical to
         ``PeakDetector.detect`` over the concatenation of every
         analysed chunk — the streaming lane's core guarantee.  Closing
-        frees the session's detector and journal, as reaping does: only
-        the outcome outlives it.
+        frees the session's detector and journal, as reaping does, and
+        the outcome goes to the caller only: the gateway keeps just the
+        tombstone (state, ids, cursor, counters) that typed refusals
+        read.
         """
         session = self._lookup(session_id)
         if session.state != ACTIVE:
@@ -663,7 +663,6 @@ class StreamGateway:
             report=report,
             digest=report_digest(report),
         )
-        session.outcome = outcome
         self.observer.incr("stream.sessions_closed")
         self.observer.event(
             STREAM_SESSION_CLOSED,

@@ -1,0 +1,65 @@
+"""Scalar references for the exact peak stream's carry-over passes.
+
+``ExactPeakStream`` walks left from each candidate peak, and folds the
+columns it trims into a monotone stack, with numpy array passes.  This
+module keeps the one-sample-at-a-time loops those passes replaced, so
+the differential tests in ``test_stream_walks.py`` can check record
+for record (and float bit for float bit) that nothing moved.  The
+SHA-256 counter-mode keystream's one-block-at-a-time generator is kept
+here for the same reason.
+"""
+
+import hashlib
+from typing import List, Tuple
+
+import numpy as np
+
+Entry = Tuple[float, float]
+Record = Tuple[int, float, float]
+
+
+def push(entries: List[Entry], value: float) -> None:
+    """Push one value onto a ``_MonotoneStack`` entry list."""
+    seg_min = value
+    while entries and entries[-1][0] <= value:
+        seg_min = min(seg_min, entries.pop()[1])
+    entries.append((value, seg_min))
+
+
+def push_all(entries: List[Entry], values: np.ndarray) -> List[Entry]:
+    """The trim's former loop: every value through :func:`push`."""
+    for value in values:
+        push(entries, float(value))
+    return entries
+
+
+def left_walk(
+    x: np.ndarray, base: int, p: int, h: float
+) -> Tuple[List[Record], float, bool]:
+    """Walk left from ``p`` over the tail ``x`` (column 0 at ``base``).
+
+    Returns the strictly descending running-minimum records
+    ``(pos, value, next_value)``, the minimum reached, and whether a
+    sample ``> h`` stopped the walk.
+    """
+    records: List[Record] = []
+    cur = h
+    i = p - 1
+    while i >= base:
+        v = float(x[i - base])
+        if v > h:
+            return records, cur, True
+        if v < cur:
+            records.append((i, v, float(x[i + 1 - base])))
+            cur = v
+        i -= 1
+    return records, cur, False
+
+
+def keystream(key: bytes, nonce: bytes, length: int) -> bytes:
+    """One fresh SHA-256 per 32-byte block of ``key || nonce || counter``."""
+    n_blocks = -(-length // 32)
+    return b"".join(
+        hashlib.sha256(key + nonce + counter.to_bytes(8, "little")).digest()
+        for counter in range(n_blocks)
+    )[:length]

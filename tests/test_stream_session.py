@@ -7,6 +7,8 @@ walks sessions ACTIVE → SUSPENDED → REAPED on the injected clock.
 """
 
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,6 +304,36 @@ class TestJournal:
             assert gateway.journal_blobs(session_id) == ()
             with pytest.raises(SessionStateError):
                 gateway.replay_journal(session_id)
+
+
+class TestClosedSessionMemory:
+    def test_closed_sessions_keep_only_a_tombstone(self):
+        # A long capture's report holds hundreds of peaks; the caller
+        # gets it from close_session and the gateway must not keep it.
+        gateway = make_gateway()
+        minter = TokenMinter(SECRET, key_epoch=gateway.key_epoch)
+        trace = synthetic_stream_trace(ensure_rng(21), n_channels=2, n_samples=1200)
+
+        def stream_and_close(index):
+            opened = open_session(gateway, tenant=f"clinic-{index:02d}", minter=minter)
+            send_all(gateway, opened, trace, step=600)
+            return gateway.close_session(opened.session_id).report.count
+
+        tracemalloc.start()
+        try:
+            for index in range(2):
+                stream_and_close(index)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(2, 22):
+                assert stream_and_close(index) > 30
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert growth / 20 < 4096
+        with pytest.raises(SessionStateError):  # the tombstone still refuses
+            gateway.close_session("clinic-21/s21")
 
 
 class TestRateController:
