@@ -42,6 +42,8 @@ def _parse_json(text) -> Dict:
         payload = json.loads(text)
     except (json.JSONDecodeError, TypeError, UnicodeDecodeError) as error:
         raise ValidationError(f"message is not valid JSON: {error}") from error
+    except RecursionError as error:
+        raise ValidationError("message is not valid JSON: nested too deeply") from error
     if not isinstance(payload, dict):
         raise ValidationError(
             f"message decodes to {type(payload).__name__}, not an object"
@@ -103,6 +105,17 @@ class AnalysisRequest:
             raise ValidationError(f"invalid analysis_request fields: {error}") from error
 
 
+def _amplitude_list(amplitudes: np.ndarray) -> list:
+    # DetectedPeak holds float64, so tolist() gives the very floats a
+    # float() per element would.  Only a 1-D array lists flat; anything
+    # else keeps the per-element form (and its refusal of multi-channel
+    # rows), so a journal line decoding to such a peak still fails the
+    # round-trip check.
+    if amplitudes.ndim == 1:
+        return amplitudes.tolist()
+    return [float(a) for a in amplitudes]
+
+
 def report_to_dict(report: PeakReport) -> Dict:
     """Ciphertext peak report as a JSON-safe dict."""
     return {
@@ -114,7 +127,7 @@ def report_to_dict(report: PeakReport) -> Dict:
                 "time_s": peak.time_s,
                 "depth": peak.depth,
                 "width_s": peak.width_s,
-                "amplitudes": [float(a) for a in peak.amplitudes],
+                "amplitudes": _amplitude_list(peak.amplitudes),
                 "sample_index": peak.sample_index,
             }
             for peak in report.peaks

@@ -21,13 +21,13 @@ Durability and integrity (repro.resilience):
   bit-identically.
 """
 
+import hashlib
 import json
 import threading
 import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro._util.drill import canonical_digest
 from repro._util.errors import ConfigurationError, MedSenError
 from repro.dsp.peakdetect import PeakReport
 from repro.guard.admission import admit_identifier_key, admit_metadata, admit_report
@@ -43,8 +43,25 @@ class RecordCorrupted(MedSenError):
 
 
 # ---------------------------------------------------------------------------
-# Canonical payload (shared with the resilience journal)
+# Canonical record codec (shared with the resilience journal)
 # ---------------------------------------------------------------------------
+#: Sorted keys, compact separators: the one encoder that turns a record
+#: into text.  Every checksum, journal line and content hash is cut from
+#: or composed around its output, never from a second serialisation.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: Where the content-hashed prefix of a payload text ends.  The payload's
+#: sorted keys are identifier, metadata, report, sequence_number,
+#: stored_at_s; a quote inside a JSON string is always escaped, so this
+#: separator occurs only at the top level.
+_SEQUENCE_KEY = ',"sequence_number":'
+
+
+def canonical_json(obj: Any) -> str:
+    """Sorted, compact JSON of ``obj`` (the codec's only encode)."""
+    return _ENCODER.encode(obj)
+
+
 def record_payload_dict(
     identifier_key: str,
     report: PeakReport,
@@ -69,27 +86,32 @@ def record_payload_dict(
     }
 
 
+def text_checksum(payload_text: str) -> int:
+    """CRC32 over a canonical payload text."""
+    return zlib.crc32(payload_text.encode("utf-8")) & 0xFFFFFFFF
+
+
 def payload_checksum(payload: Dict[str, Any]) -> int:
     """CRC32 over the canonical payload encoding."""
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(encoded.encode("utf-8")) & 0xFFFFFFFF
+    return text_checksum(canonical_json(payload))
 
 
-def record_content_hash(record) -> str:
+def record_content_hash(record, payload_text: Optional[str] = None) -> str:
     """Interleaving-independent content hash of one stored record.
 
     Sequence numbers and timestamps are excluded (commit order depends
     on worker interleaving), so the hash is a pure function of the seed
     whether the record came from one process, a shard, or a journal.
+    It is the blake2b of ``{"identifier":I,"metadata":M,"report":R}``:
+    the canonical payload text up to its sequence number, closed with
+    ``}``.  Pass ``payload_text`` when the record's canonical payload
+    text is already at hand (just derived and checked) to skip
+    re-encoding it.
     """
-    from repro.cloud.api import report_to_dict
-
-    payload = {
-        "identifier": record.identifier_key,
-        "metadata": [[k, v] for k, v in record.metadata],
-        "report": report_to_dict(record.report),
-    }
-    return canonical_digest(payload, 12)
+    if payload_text is None:
+        payload_text = record.payload_text()
+    head = payload_text[: payload_text.rindex(_SEQUENCE_KEY)] + "}"
+    return hashlib.blake2b(head.encode("utf-8"), digest_size=12).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -122,11 +144,15 @@ class StoredRecord:
             self.metadata,
         )
 
+    def payload_text(self) -> str:
+        """Canonical payload text, derived afresh from the current fields."""
+        return canonical_json(self.payload())
+
     def verify(self) -> bool:
         """Whether the record's contents still match its checksum."""
         if self.checksum == 0:
             return True  # legacy record without a checksum
-        return payload_checksum(self.payload()) == self.checksum
+        return text_checksum(self.payload_text()) == self.checksum
 
 
 class RecordStore:
@@ -145,10 +171,11 @@ class RecordStore:
     observer:
         Observability sink (``record.stored`` audit events, counters).
     journal:
-        Optional durable sink (anything with ``append(record)``, e.g.
-        :class:`repro.resilience.journal.RecordJournal`); every
-        committed record is appended so a crashed process can replay
-        its way back to the exact pre-crash state.
+        Optional durable sink (anything with ``append(record,
+        payload_text)``, e.g. :class:`repro.resilience.journal.RecordJournal`);
+        every committed record is appended, with the canonical payload
+        text its checksum was computed over, so a crashed process can
+        replay its way back to the exact pre-crash state.
     """
 
     def __init__(
@@ -187,7 +214,7 @@ class RecordStore:
             self._sequence += 1
             meta = tuple(sorted((metadata or {}).items()))
             stored_at_s = self.clock()
-            checksum = payload_checksum(
+            payload_text = canonical_json(
                 record_payload_dict(
                     identifier_key, report, self._sequence, stored_at_s, meta
                 )
@@ -198,11 +225,11 @@ class RecordStore:
                 sequence_number=self._sequence,
                 stored_at_s=stored_at_s,
                 metadata=meta,
-                checksum=checksum,
+                checksum=text_checksum(payload_text),
             )
             self._records.setdefault(identifier_key, []).append(record)
             if self.journal is not None:
-                self.journal.append(record)
+                self.journal.append(record, payload_text)
         self.observer.incr("store.records")
         self.observer.event(
             RECORD_STORED,
@@ -223,8 +250,10 @@ class RecordStore:
             self._records.setdefault(record.identifier_key, []).append(record)
             self._sequence = max(self._sequence, record.sequence_number)
 
-    def _verify_record(self, record: StoredRecord) -> StoredRecord:
-        if not record.verify():
+    def _verified_text(self, record: StoredRecord) -> str:
+        """The record's payload text, after checking it against the checksum."""
+        payload_text = record.payload_text()
+        if record.checksum and text_checksum(payload_text) != record.checksum:
             self.observer.incr("store.corrupted")
             self.observer.event(
                 RECORD_CORRUPTED,
@@ -235,7 +264,7 @@ class RecordStore:
                 f"record {record.sequence_number} under identifier "
                 f"{record.identifier_key!r} failed its checksum"
             )
-        return record
+        return payload_text
 
     # ------------------------------------------------------------------
     def fetch(self, identifier_key: str, start: int = 0) -> Tuple[StoredRecord, ...]:
@@ -249,11 +278,24 @@ class RecordStore:
         Raises :class:`RecordCorrupted` if any returned record fails its
         checksum — corruption is surfaced, never silently returned.
         """
+        pairs = self.fetch_with_texts(identifier_key, start)
+        return tuple(record for record, _ in pairs)
+
+    def fetch_with_texts(
+        self, identifier_key: str, start: int = 0
+    ) -> Tuple[Tuple[StoredRecord, str], ...]:
+        """:meth:`fetch`, each record paired with its canonical payload text.
+
+        The text is derived afresh from the record's fields and is what
+        its checksum was just verified against, so a caller that needs
+        the record as text (journal line, content hash) reuses it
+        instead of encoding the record again.
+        """
         if start < 0:
             raise ConfigurationError(f"start must be >= 0, got {start}")
         with self._lock:
             records = tuple(self._records.get(identifier_key, ())[start:])
-        return tuple(self._verify_record(record) for record in records)
+        return tuple((record, self._verified_text(record)) for record in records)
 
     def fetch_latest(self, identifier_key: str) -> StoredRecord:
         """Most recent record for an identifier.
@@ -269,7 +311,8 @@ class RecordStore:
                     f"no records stored for identifier {identifier_key!r}"
                 )
             record = records[-1]
-        return self._verify_record(record)
+        self._verified_text(record)
+        return record
 
     def delete_identifier(self, identifier_key: str) -> int:
         """Erase every record stored under an identifier.

@@ -80,8 +80,8 @@ from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.journal import (
     RecordJournal,
-    decode_entry,
-    encode_entry,
+    decode_entry_with_text,
+    entry_line,
     recover_store,
 )
 from repro.serving.queue import QueueFull
@@ -118,8 +118,8 @@ def store_content_hashes(store: RecordStore) -> Tuple[str, ...]:
     """Sorted content hashes of every record in a store partition."""
     hashes = []
     for identifier_key in store.identifiers():
-        for record in store.fetch(identifier_key):
-            hashes.append(record_content_hash(record))
+        for record, payload_text in store.fetch_with_texts(identifier_key):
+            hashes.append(record_content_hash(record, payload_text))
     return tuple(sorted(hashes))
 
 
@@ -196,8 +196,10 @@ class _ShardRuntime:
         # the tail past the cursor.
         self._examined: Dict[str, int] = {}
         for identifier_key in store.identifiers():
-            records = store.fetch(identifier_key)
-            self._known_hashes.update(record_content_hash(r) for r in records)
+            records = store.fetch_with_texts(identifier_key)
+            self._known_hashes.update(
+                record_content_hash(record, text) for record, text in records
+            )
             self._examined[identifier_key] = len(records)
 
     # ------------------------------------------------------------------
@@ -372,28 +374,31 @@ class _ShardRuntime:
     def _entry_for_shipping(self, record_key: str) -> Optional[str]:
         """Journal lines for records committed since the last sweep.
 
-        Replicated primaries attach the exact :func:`encode_entry`
-        lines of every not-yet-shipped record under the session's key
-        (newline-joined; normally exactly one), so the front door can
-        forward verbatim journal bytes to the standby before acking.
-        Each record is examined once: only the key's records past its
-        cursor are fetched (and checksum-verified) and hashed, so a
-        reply costs O(1) however long the key's history grows.  A
-        shard's per-key logs only grow (it never deletes identifiers).
+        Replicated primaries attach the exact journal lines
+        (:func:`~repro.resilience.journal.encode_entry` bytes) of every
+        not-yet-shipped record under the session's key (newline-joined;
+        normally exactly one), so the front door can forward verbatim
+        journal bytes to the standby before acking.  Each record is
+        examined once: only the key's records past its cursor are
+        fetched, and each is encoded once, by the fetch's checksum
+        verification; its content hash and journal line are cut from
+        and composed around that text.  A reply costs O(1) however long
+        the key's history grows.  A shard's per-key logs only grow (it
+        never deletes identifiers).
         """
         if not self.spec.replicated or not record_key:
             return None
         started = MONOTONIC_CLOCK()
         start = self._examined.get(record_key, 0)
-        records = self.store.fetch(record_key, start=start)
+        records = self.store.fetch_with_texts(record_key, start=start)
         self._examined[record_key] = start + len(records)
         lines = []
-        for record in records:
-            content_hash = record_content_hash(record)
+        for record, payload_text in records:
+            content_hash = record_content_hash(record, payload_text)
             if content_hash in self._known_hashes:
                 continue
             self._known_hashes.add(content_hash)
-            lines.append(encode_entry(record))
+            lines.append(entry_line(record.checksum, payload_text))
         self.observer.observe("fleet.ship_prepare_s", MONOTONIC_CLOCK() - started)
         return "\n".join(lines) if lines else None
 
@@ -421,18 +426,21 @@ class _ShardRuntime:
     def handle_ship(self, msg_id: int, msg: JournalShip) -> None:
         """Apply shipped journal lines to the standby's partition.
 
-        Each line goes through the same :func:`decode_entry`
-        verification crash recovery uses: a torn or corrupted line is
-        quarantined (counted + audited), never applied; an intact line
-        is restored with its original sequence number/timestamp and
-        re-journaled locally so a promoted standby recovers
-        bit-identically after its own crash.
+        Each line goes through the same
+        :func:`~repro.resilience.journal.decode_entry` verification crash
+        recovery uses: a torn or corrupted line is quarantined (counted +
+        audited), never applied; an intact line is restored with its
+        original sequence number/timestamp and re-journaled locally so a
+        promoted standby recovers bit-identically after its own crash.
+        The payload text the checks were computed over also gives the
+        content hash and the local journal line, so an honest line is
+        encoded once here.
         """
         started = MONOTONIC_CLOCK()
         applied = duplicates = quarantined = 0
         for line in msg.entries:
             try:
-                record = decode_entry(line)
+                record, payload_text = decode_entry_with_text(line)
             except ValueError as exc:
                 quarantined += 1
                 self.observer.incr("replica.quarantined")
@@ -443,14 +451,14 @@ class _ShardRuntime:
                     reason=str(exc),
                 )
                 continue
-            content_hash = record_content_hash(record)
+            content_hash = record_content_hash(record, payload_text)
             if content_hash in self._known_hashes:
                 duplicates += 1
                 continue
             self._known_hashes.add(content_hash)
             self.store._restore(record)
             if self.journal is not None:
-                self.journal.append(record)
+                self.journal.append(record, payload_text)
             applied += 1
         self.observer.observe("replica.apply_s", MONOTONIC_CLOCK() - started)
         self.replica_applied += applied

@@ -145,6 +145,8 @@ def open_report_with_context(
         return report_from_dict(payload), context
     except (ValidationError, ValueError, UnicodeDecodeError) as error:
         refuse(f"authentic envelope decodes to garbage: {error}")
+    except RecursionError:
+        refuse("authentic envelope decodes to garbage: nested too deeply")
 
 
 def open_report(

@@ -26,31 +26,36 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro._util.errors import ConfigurationError
 from repro.cloud.storage import (
     RecordStore,
     StoredRecord,
-    payload_checksum,
+    canonical_json,
     record_payload_dict,
 )
 from repro.obs import NULL_OBSERVER, RECORD_QUARANTINED, WALL_CLOCK, Clock
 
 
-def _canonical(obj: Dict[str, Any]) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# A line is the canonical JSON of {"checksum": C, "crc": K, "payload": P}.
+# Sorted keys put the payload last, so the line is composed around the
+# payload text P rather than re-serialised, and the line CRC K covers
+# the canonical JSON of {"checksum": C, "payload": P}.
+def _line_crc(checksum: int, payload_bytes: bytes) -> int:
+    crc = zlib.crc32(b'{"checksum":%d,"payload":' % checksum)
+    return zlib.crc32(b"}", zlib.crc32(payload_bytes, crc)) & 0xFFFFFFFF
 
 
-def _line_crc(entry: Dict[str, Any]) -> int:
-    return zlib.crc32(_canonical(entry).encode("utf-8")) & 0xFFFFFFFF
+def entry_line(checksum: int, payload_text: str) -> str:
+    """:func:`encode_entry` of the record with this checksum and payload text."""
+    crc = _line_crc(checksum, payload_text.encode("utf-8"))
+    return f'{{"checksum":{checksum},"crc":{crc},"payload":{payload_text}}}'
 
 
 def encode_entry(record: StoredRecord) -> str:
     """One journal line (without trailing newline) for a record."""
-    entry = {"payload": record.payload(), "checksum": record.checksum}
-    entry["crc"] = _line_crc({"payload": entry["payload"], "checksum": entry["checksum"]})
-    return _canonical(entry)
+    return entry_line(record.checksum, record.payload_text())
 
 
 def decode_entry(line: str) -> StoredRecord:
@@ -60,6 +65,19 @@ def decode_entry(line: str) -> StoredRecord:
     a line CRC mismatch (torn/bit-flipped framing), or a payload
     checksum mismatch (corrupted record contents).
     """
+    return decode_entry_with_text(line)[0]
+
+
+def decode_entry_with_text(line: str) -> Tuple[StoredRecord, Optional[str]]:
+    """:func:`decode_entry`, plus the record's canonical payload text.
+
+    The text is the one both integrity checks were computed over.  It
+    is the record's own canonical text when every number in the line
+    has the type its field decodes to, as :func:`encode_entry` writes;
+    for a line accepted only through the round-trip check's lenient
+    ``==`` (``3`` where ``3.0`` belongs, ``true`` for ``1``) it is
+    ``None`` and the caller encodes the record instead.
+    """
     from repro.cloud.api import report_from_dict
 
     try:
@@ -68,10 +86,12 @@ def decode_entry(line: str) -> StoredRecord:
             raise ValueError("journal entry missing payload/crc framing")
         payload = raw["payload"]
         checksum = int(raw.get("checksum", 0))
-        expected_crc = _line_crc({"payload": payload, "checksum": checksum})
+        payload_text = canonical_json(payload)
+        payload_bytes = payload_text.encode("utf-8")
+        expected_crc = _line_crc(checksum, payload_bytes)
         if int(raw["crc"]) != expected_crc:
             raise ValueError("journal line CRC mismatch")
-        if checksum != payload_checksum(payload):
+        if checksum != zlib.crc32(payload_bytes) & 0xFFFFFFFF:
             raise ValueError("record payload checksum mismatch")
         metadata = tuple((str(k), str(v)) for k, v in payload["metadata"])
         record = StoredRecord(
@@ -92,13 +112,33 @@ def decode_entry(line: str) -> StoredRecord:
             record.metadata,
         ) != payload:
             raise ValueError("journal entry does not round-trip")
-        return record
     except ValueError:
         raise
     except (KeyError, TypeError, OverflowError) as exc:
         # Structurally surprising JSON (wrong nesting, wrong types):
         # normalise to the documented ValueError contract.
         raise ValueError(f"journal entry malformed: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("journal entry malformed: nested too deeply") from exc
+    return record, payload_text if _exact_number_types(payload) else None
+
+
+def _exact_number_types(payload) -> bool:
+    """Whether an accepted payload holds ints and floats where its record does."""
+    report = payload["report"]
+    peaks = report["peaks"]
+    floats = {
+        type(payload["stored_at_s"]),
+        type(report["duration_s"]),
+        type(report["sampling_rate_hz"]),
+    }
+    floats.update(
+        type(peak[key]) for peak in peaks for key in ("time_s", "depth", "width_s")
+    )
+    floats.update(type(a) for peak in peaks for a in peak["amplitudes"])
+    ints = {type(payload["sequence_number"]), type(report["detection_channel"])}
+    ints.update(type(peak["sample_index"]) for peak in peaks)
+    return floats == {float} and ints == {int}
 
 
 @dataclass(frozen=True)
@@ -150,11 +190,19 @@ class RecordJournal:
         self._handle = None
         self.entries_written = 0
 
-    def append(self, record: StoredRecord) -> None:
-        """Durably append one committed record."""
+    def append(self, record: StoredRecord, payload_text: Optional[str] = None) -> None:
+        """Durably append one committed record.
+
+        ``payload_text`` is the record's canonical payload text when the
+        caller already derived it (the store at commit time, a standby
+        that just verified the shipped line); without it the record is
+        encoded here.
+        """
+        if payload_text is None:
+            payload_text = record.payload_text()
         if self._handle is None:
             self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(encode_entry(record) + "\n")
+        self._handle.write(entry_line(record.checksum, payload_text) + "\n")
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())

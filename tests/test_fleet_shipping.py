@@ -9,11 +9,14 @@ history on every reply.  These tests drive an in-process
 channel and hold every reply's ``journal_entry`` to the oracle's —
 across repeat visits, a shared key, a re-delivered submission, journal
 recovery and standby promotion — and count content hashes to pin the
-once-per-record cost.
+once-per-record cost.  A replicated request encodes its record three
+times (store, ship-time verify, standby decode), and both journals hold
+exactly the reference codec's lines (``tests/_record_codec_oracle.py``).
 """
 
 import pytest
 
+import repro.cloud.storage as storage_module
 import repro.fleet.shard as shard_module
 from repro.core.config import MedSenConfig
 from repro.dsp.peakdetect import PeakReport
@@ -22,12 +25,15 @@ from repro.fleet.messages import (
     JournalShip,
     LeaseGrant,
     RegisterTenant,
+    ShipAck,
     SubmitRequest,
     SubmitResponse,
 )
 from repro.fleet.shard import ShardSpec, _ShardRuntime
+from repro.resilience.journal import recover_store
 from repro.serving import ClinicWorkload, FleetConfig
 
+from tests import _record_codec_oracle as codec_oracle
 from tests._ship_oracle import ShipOracle, snapshot
 
 WORKLOAD = ClinicWorkload(n_tenants=2, requests_per_tenant=12, duration_s=8.0, seed=11)
@@ -228,9 +234,9 @@ def hash_calls(monkeypatch):
     calls = []
     real = shard_module.record_content_hash
 
-    def counting(record):
+    def counting(record, payload_text=None):
         calls.append(record.sequence_number)
-        return real(record)
+        return real(record, payload_text)
 
     monkeypatch.setattr(shard_module, "record_content_hash", counting)
     return calls
@@ -281,3 +287,102 @@ class TestReplyPathTelemetry:
         )
         assert fleet.histogram("fleet.ship_prepare_s").count == n_requests
         assert fleet.histogram("replica.apply_s").count == n_requests
+
+
+class TestStandbyQuarantine:
+    def test_deeply_nested_line_quarantined_rest_applied(self, shards):
+        primary = shards(make_spec("part-00-a"))
+        standby = shards(make_spec("part-00-b"))
+        standby.dispatch(LeaseGrant(PARTITION, 1, "standby", 1.0))
+        primary.register(TENANTS[0])
+        primary.submit(TENANTS[0], 0)
+        (response,) = primary.settle()
+        nested = "[" * 100000
+        standby.dispatch(JournalShip(PARTITION, 1, (nested, *lines(response))))
+        _, reply = standby.runtime.channel.sent[-1]
+        assert isinstance(reply, ShipAck)
+        assert (reply.quarantined, reply.applied) == (1, 1)
+        assert standby.runtime.store.n_records == 1
+
+
+class CountingEncoder:
+    """Stands in for the codec's one encoder; counts while switched on."""
+
+    def __init__(self, real) -> None:
+        self.real = real
+        self.calls = 0
+        self.on = False
+
+    def encode(self, obj):
+        if self.on:
+            self.calls += 1
+        return self.real.encode(obj)
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    counter = CountingEncoder(storage_module._ENCODER)
+    monkeypatch.setattr(storage_module, "_ENCODER", counter)
+    return counter
+
+
+def commit_order(store):
+    records = [r for key in store.identifiers() for r in store.fetch(key)]
+    return sorted(records, key=lambda record: record.sequence_number)
+
+
+def assert_journal_is_oracle_lines(runtime):
+    """The journal file holds the reference codec's lines for the store."""
+    runtime.journal.close()
+    with open(runtime.spec.journal_path, encoding="utf-8") as handle:
+        written = handle.read().splitlines()
+    assert written == [codec_oracle.encode_entry(r) for r in commit_order(runtime.store)]
+    recovered, replay = recover_store(runtime.spec.journal_path)
+    assert replay.n_quarantined == 0
+    assert [codec_oracle.encode_entry(r) for r in replay.records] == written
+    return written
+
+
+class TestEachRecordEncodedOnce:
+    @staticmethod
+    def replicate(primary, standby, encodes, tenant, sequence):
+        """One replicated request; returns the record encodes it took."""
+        encodes.calls, encodes.on = 0, True
+        primary.submit(tenant, sequence)
+        for future in primary.runtime.pending.values():
+            future.wait(120)
+        primary.runtime.sweep()
+        _, response = primary.runtime.channel.sent[-1]
+        if standby is not None:
+            standby.dispatch(JournalShip(PARTITION, 1, tuple(lines(response))))
+        encodes.on = False
+        assert len(lines(response)) == 1
+        return encodes.calls
+
+    def test_three_encodes_and_oracle_journals(self, shards, encodes, tmp_path):
+        spec_a = make_spec("part-00-a", journal_path=str(tmp_path / "a.journal"))
+        spec_b = make_spec("part-00-b", journal_path=str(tmp_path / "b.journal"))
+        primary, standby = shards(spec_a), shards(spec_b)
+        standby.dispatch(LeaseGrant(PARTITION, 1, "standby", 1.0))
+        primary.register(TENANTS[0])
+        # store, the ship-time fetch verify, the standby's decode
+        for sequence in range(3):
+            assert self.replicate(primary, standby, encodes, TENANTS[0], sequence) == 3
+        assert standby.runtime.replica_applied == 3
+        shipped = assert_journal_is_oracle_lines(primary.runtime)
+        assert assert_journal_is_oracle_lines(standby.runtime) == shipped
+
+        # The primary's process restarts on its journal and keeps going.
+        primary.close()
+        restarted = shards(spec_a)
+        assert restarted.runtime.recovered_records == 3
+        restarted.register(TENANTS[0])
+        assert self.replicate(restarted, None, encodes, TENANTS[0], 3) == 2
+        assert len(assert_journal_is_oracle_lines(restarted.runtime)) == 4
+
+        # The standby is promoted and serves on top of what it applied.
+        standby.dispatch(LeaseGrant(PARTITION, 2, "primary", 1.0))
+        standby.register(TENANTS[1])
+        assert self.replicate(standby, None, encodes, TENANTS[1], 0) == 2
+        promoted = assert_journal_is_oracle_lines(standby.runtime)
+        assert promoted[:3] == shipped and len(promoted) == 4

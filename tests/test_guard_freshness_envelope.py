@@ -220,6 +220,19 @@ class TestEnvelopes:
         with pytest.raises(EnvelopeError):
             open_report(sealed, b"other-secret")
 
+    def test_authentic_deeply_nested_plaintext_refused(self, observer):
+        # Only a holder of the secret can seal this, but a broken peer
+        # still gets the typed refusal, not a RecursionError.
+        from repro.crypto.keyshare import new_nonce, seal
+        from repro.guard import envelope
+
+        nonce = new_nonce(None)
+        header = envelope._FIXED.pack(envelope._MAGIC, nonce, 0)
+        blob = seal(SECRET, envelope._LABEL, nonce, header, b"[" * 100000)
+        with pytest.raises(EnvelopeError, match="nested too deeply"):
+            open_report(blob, SECRET, observer=observer)
+        assert observer.metrics.counter("guard.envelope_rejected").value == 1
+
     def test_channel_round_trip(self):
         from tests.test_guard_admission import make_report
 

@@ -98,6 +98,11 @@ class TestCloudApi:
         with pytest.raises(ValidationError):
             AnalysisRequest.from_json('{"type": "analysis_request"}')
 
+    @pytest.mark.parametrize("cls", [AnalysisRequest, AnalysisResponse, StoreRequest])
+    def test_deep_nesting_rejected(self, cls):
+        with pytest.raises(ValidationError, match="nested too deeply"):
+            cls.from_json("[" * 100000)
+
     def test_invalid_construction(self):
         with pytest.raises(ValidationError):
             AnalysisRequest("", 1, 10, 450.0, 5)

@@ -101,6 +101,24 @@ class TestQuarantine:
         assert RECORD_QUARANTINED in kinds
         assert observer.metrics.counter("journal.quarantined").value == 1
 
+    def test_decode_refuses_deep_nesting_as_value_error(self):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            decode_entry("[" * 100000)
+
+    def test_deeply_nested_line_quarantined_others_recovered(self, journal_path):
+        # 200 KB of open brackets: under the line cap, past the JSON
+        # decoder's recursion limit.
+        self.fill(journal_path, n=2)
+        with open(journal_path, "a") as handle:
+            handle.write("[" * 200_000 + "\n")
+        store = journaled_store(journal_path, start=200.0)
+        store.store("id-9", make_report(1))
+        store.journal.close()
+        _, replay = recover_store(journal_path)
+        assert replay.n_recovered == 3
+        assert [q.line_number for q in replay.quarantined] == [3]
+        assert "nested too deeply" in replay.quarantined[0].reason
+
     def test_truncated_final_line_quarantined(self, journal_path):
         self.fill(journal_path, n=2)
         raw = open(journal_path).read().rstrip("\n")
