@@ -203,12 +203,13 @@ class RecordStore:
         everything inbound is admission-checked first: a malformed key,
         a non-report payload, or oversized/ill-typed metadata raises a
         typed :class:`~repro._util.errors.AdmissionError` (with the
-        ``guard.rejected`` accounting) before touching the log.
+        ``guard.rejected`` accounting) before touching the log.  The
+        record keeps the report in the form admission returns.
         """
         if not identifier_key:
             raise ConfigurationError("identifier_key must be non-empty")
         admit_identifier_key(identifier_key, observer=self.observer, boundary="store")
-        admit_report(report, observer=self.observer, boundary="store")
+        report = admit_report(report, observer=self.observer, boundary="store")
         admit_metadata(metadata, observer=self.observer, boundary="store")
         with self._lock:
             self._sequence += 1

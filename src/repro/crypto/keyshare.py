@@ -11,10 +11,11 @@ then fetch the patient's *encrypted* records from the cloud and decrypt
 them independently, without the device in the loop.
 
 The sealing is an authenticated stream cipher built from the standard
-library: SHA-256 in counter mode for the keystream and HMAC-SHA256 in
-encrypt-then-MAC order for integrity.  (Not a production AEAD — the
-point here is the *system* property: key material moves only between
-TCB-trusted parties and only confidentially+authenticated.)
+library: SHAKE-256(key || nonce) as the keystream and HMAC-SHA256 in
+encrypt-then-MAC order for integrity, under key labels that name the
+construction.  (Not a production AEAD — the point here is the *system*
+property: key material moves only between TCB-trusted parties and only
+confidentially+authenticated.)
 
 :func:`seal` / :func:`unseal` are that construction, written once; the
 plan blob, the MSE report envelopes and the MSS stream chunks differ
@@ -42,6 +43,10 @@ if TYPE_CHECKING:
 NONCE_BYTES = 16
 TAG_BYTES = 32
 _LABEL = b"medsen-keyshare"
+#: Label suffixes of the keys :func:`seal` derives.  They name the
+#: construction, so a blob sealed under another one fails its tag.
+ENC_SUFFIX = b"-shake256-enc"
+MAC_SUFFIX = b"-shake256-mac"
 
 
 def derive_key(secret: bytes, label: bytes) -> bytes:
@@ -53,18 +58,8 @@ def derive_key(secret: bytes, label: bytes) -> bytes:
 
 
 def keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """SHA-256 counter-mode keystream of ``length`` bytes.
-
-    Block ``i`` is ``SHA-256(key || nonce || i as 8-byte little endian)``;
-    the shared ``key || nonce`` prefix is hashed once and copied.
-    """
-    prefix = hashlib.sha256(key + nonce)
-    blocks = []
-    for counter in range(-(-length // 32)):
-        block = prefix.copy()
-        block.update(counter.to_bytes(8, "little"))
-        blocks.append(block.digest())
-    return b"".join(blocks)[:length]
+    """The first ``length`` bytes of SHAKE-256(key || nonce)."""
+    return hashlib.shake_256(key + nonce).digest(length)
 
 
 def mac(secret: bytes, label: bytes, body: bytes) -> bytes:
@@ -81,7 +76,7 @@ def new_nonce(nonce: Optional[bytes] = None) -> bytes:
 
 
 def _xor_stream(secret: bytes, label: bytes, nonce: bytes, data: bytes) -> bytes:
-    stream = keystream(derive_key(secret, label + b"-enc"), nonce, len(data))
+    stream = keystream(derive_key(secret, label + ENC_SUFFIX), nonce, len(data))
     return (np.frombuffer(data, np.uint8) ^ np.frombuffer(stream, np.uint8)).tobytes()
 
 
@@ -91,10 +86,10 @@ def seal(
     """Encrypt-then-MAC: ``header || ciphertext || tag``.
 
     The tag covers header and ciphertext; keys derive from ``label``
-    with ``-enc`` and ``-mac`` appended.
+    with :data:`ENC_SUFFIX` and :data:`MAC_SUFFIX` appended.
     """
     body = header + _xor_stream(secret, label, nonce, plaintext)
-    return body + mac(secret, label + b"-mac", body)
+    return body + mac(secret, label + MAC_SUFFIX, body)
 
 
 def unseal(
@@ -106,7 +101,7 @@ def unseal(
     a tag, and read ``nonce`` from that header.
     """
     body, tag = blob[:-TAG_BYTES], blob[-TAG_BYTES:]
-    if not hmac.compare_digest(tag, mac(secret, label + b"-mac", body)):
+    if not hmac.compare_digest(tag, mac(secret, label + MAC_SUFFIX, body)):
         return None
     return _xor_stream(secret, label, nonce, body[header_bytes:])
 

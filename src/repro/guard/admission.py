@@ -20,6 +20,7 @@ chaos campaigns' *corrupted-but-finite* traces.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -30,6 +31,7 @@ from repro._util.errors import (
     MalformedPayloadError,
     OversizedPayloadError,
 )
+from repro.dsp.peakdetect import DetectedPeak, PeakReport
 from repro.obs import GUARD_REJECTED, NULL_OBSERVER
 
 #: Counter bumped once per refused payload, labelled only by total.
@@ -151,9 +153,14 @@ def admit_report(
     observer: Any = NULL_OBSERVER,
     boundary: str = "report",
     max_peaks: int = 1_000_000,
-) -> None:
+) -> PeakReport:
     """Refuse a :class:`~repro.dsp.peakdetect.PeakReport` look-alike
-    whose fields are missing, non-finite, or out of budget."""
+    whose fields are missing, non-finite, or out of budget.
+
+    Returns it in the types the record journal decodes
+    (:func:`repro.cloud.api.report_from_dict`), so a stored report
+    replays to itself on recovery and on a standby.
+    """
     try:
         peaks = getattr(report, "peaks", None)
         duration = getattr(report, "duration_s", None)
@@ -173,6 +180,7 @@ def admit_report(
                 f"{len(peaks)} peaks exceeds cap {max_peaks}",
                 OversizedPayloadError,
             )
+        canonical = []
         for peak in peaks:
             time_s = float(peak.time_s)
             depth = float(peak.depth)
@@ -183,8 +191,16 @@ def admit_report(
                 and math.isfinite(width)
             ):
                 _refuse(observer, boundary, "peak has non-finite fields")
-            if not np.isfinite(np.asarray(peak.amplitudes, dtype=float)).all():
+            amplitudes = np.asarray(peak.amplitudes, dtype=float)
+            if not np.isfinite(amplitudes).all():
                 _refuse(observer, boundary, "peak amplitudes non-finite")
+            if amplitudes.ndim > 1:
+                _refuse(observer, boundary, "peak amplitudes are not a flat array")
+            index = operator.index(peak.sample_index)
+            canonical.append(DetectedPeak(time_s, depth, width, amplitudes, index))
+        return PeakReport(
+            tuple(canonical), duration, rate, operator.index(report.detection_channel)
+        )
     except AdmissionError:
         raise
     except Exception as error:
@@ -275,7 +291,8 @@ def admit_metadata(
     max_entries: int = 64,
     max_value_bytes: int = 4096,
 ) -> None:
-    """Refuse record metadata unless it is a small, flat, JSON-safe dict."""
+    """Refuse record metadata unless it is a small, flat dict of strings
+    (a journal replay reads every value back as a string)."""
     if metadata is None:
         return
     if not isinstance(metadata, dict):
@@ -290,15 +307,13 @@ def admit_metadata(
     for key, value in metadata.items():
         if not isinstance(key, str):
             _refuse(observer, boundary, "metadata key is not a string")
-        if isinstance(value, float) and not math.isfinite(value):
-            _refuse(observer, boundary, f"metadata value {key}={value!r} non-finite")
-        if not isinstance(value, (str, int, float, bool)) and value is not None:
+        if not isinstance(value, str):
             _refuse(
                 observer,
                 boundary,
                 f"metadata value {key} has type {type(value).__name__}",
             )
-        if isinstance(value, str) and len(value) > max_value_bytes:
+        if len(value) > max_value_bytes:
             _refuse(
                 observer,
                 boundary,

@@ -12,12 +12,12 @@ a header that binds everything the gateway needs to *order* and
           || seq(u32) || n_channels(u16) || n_samples(u32) || fs(f64)
           || ciphertext || HMAC``
 
-The payload is the chunk's float64 little-endian samples XORed with the
-keystream; the HMAC-SHA256 tag covers header + ciphertext and is
-verified **before** any decryption.  Because ``session_key`` and ``seq``
-sit inside the authenticated header, an attacker can neither splice a
-chunk into another session nor reorder chunks within one — both fail
-authentication or the gateway's cursor check with a typed refusal.
+The payload is the chunk's float64 little-endian samples XORed with
+SHAKE-256(key || nonce); the HMAC-SHA256 tag covers header + ciphertext
+and is verified **before** any decryption.  Because ``session_key`` and
+``seq`` sit inside the authenticated header, an attacker can neither
+splice a chunk into another session nor reorder chunks within one — both
+fail authentication or the gateway's cursor check with a typed refusal.
 
 Mid-stream key-epoch rotation is first-class: ``key_epoch`` is the
 paper's epoch index for ``K(t)``; the gateway accepts a bounded overlap

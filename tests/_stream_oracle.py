@@ -4,12 +4,9 @@
 columns it trims into a monotone stack, with numpy array passes.  This
 module keeps the one-sample-at-a-time loops those passes replaced, so
 the differential tests in ``test_stream_walks.py`` can check record
-for record (and float bit for float bit) that nothing moved.  The
-SHA-256 counter-mode keystream's one-block-at-a-time generator is kept
-here for the same reason.
+for record (and float bit for float bit) that nothing moved.
 """
 
-import hashlib
 from typing import List, Tuple
 
 import numpy as np
@@ -55,11 +52,3 @@ def left_walk(
         i -= 1
     return records, cur, False
 
-
-def keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """One fresh SHA-256 per 32-byte block of ``key || nonce || counter``."""
-    n_blocks = -(-length // 32)
-    return b"".join(
-        hashlib.sha256(key + nonce + counter.to_bytes(8, "little")).digest()
-        for counter in range(n_blocks)
-    )[:length]

@@ -14,7 +14,10 @@ times (store, ship-time verify, standby decode), and both journals hold
 exactly the reference codec's lines (``tests/_record_codec_oracle.py``).
 """
 
+import itertools
+
 import pytest
+from hypothesis import given
 
 import repro.cloud.storage as storage_module
 import repro.fleet.shard as shard_module
@@ -35,6 +38,7 @@ from repro.serving import ClinicWorkload, FleetConfig
 
 from tests import _record_codec_oracle as codec_oracle
 from tests._ship_oracle import ShipOracle, snapshot
+from tests.test_record_canonical_form import ADMITTED_STORES, PROPERTY, assert_replays_to
 
 WORKLOAD = ClinicWorkload(n_tenants=2, requests_per_tenant=12, duration_s=8.0, seed=11)
 IDENTIFIERS = WORKLOAD.identifiers(MedSenConfig())
@@ -303,6 +307,32 @@ class TestStandbyQuarantine:
         assert isinstance(reply, ShipAck)
         assert (reply.quarantined, reply.applied) == (1, 1)
         assert standby.runtime.store.n_records == 1
+
+
+class TestStandbyHoldsWhatThePrimaryStored:
+    def test_admitted_records_replicate_to_themselves(self, shards):
+        # Every record admission lets in (int reals, numpy scalars, bool
+        # indices, string metadata) ships as a line the standby applies
+        # to the very record the primary holds.
+        primary = shards(make_spec("part-00-a"))
+        standby = shards(make_spec("part-00-b"))
+        standby.dispatch(LeaseGrant(PARTITION, 1, "standby", 1.0))
+        visits = itertools.count()
+
+        @PROPERTY
+        @given(ADMITTED_STORES)
+        def check(stored):
+            key, report, metadata = stored
+            key = f"{key}#{next(visits)}"  # one record per key, none deduplicated
+            record = primary.runtime.store.store(key, report, metadata)
+            entry = primary.runtime._entry_for_shipping(key)
+            standby.dispatch(JournalShip(PARTITION, 1, (entry,)))
+            _, reply = standby.runtime.channel.sent[-1]
+            assert (reply.applied, reply.quarantined) == (1, 0)
+            (replica,) = standby.runtime.store.fetch(key)
+            assert_replays_to(replica, record)
+
+        check()
 
 
 class CountingEncoder:

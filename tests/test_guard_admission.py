@@ -177,7 +177,7 @@ class TestAdmitKeyAndMetadata:
 
     def test_metadata_none_ok(self):
         admit_metadata(None)
-        admit_metadata({"site": "clinic-7", "n": 3, "ok": True, "x": None})
+        admit_metadata({"site": "clinic-7", "n": "3", "empty": ""})
 
     @pytest.mark.parametrize(
         "metadata",
@@ -188,6 +188,11 @@ class TestAdmitKeyAndMetadata:
             {"inf": float("inf")},
             {"big": "x" * 5000},
             {f"k{i}": i for i in range(65)},
+            # A journal replay reads every value back as a string.
+            {"visit": 3},
+            {"ok": True},
+            {"x": None},
+            {"ratio": 1.5},
         ],
     )
     def test_bad_metadata_refused(self, metadata):

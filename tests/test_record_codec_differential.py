@@ -178,11 +178,8 @@ class TestEncodeParity:
             st.tuples(
                 TEXT.filter(lambda k: k and k == k.strip() and not {"\n", "\r"} & set(k)),
                 reports(FINITE, st.floats(1e-3, 1e6)),
-                st.dictionaries(
-                    TEXT,
-                    st.one_of(TEXT, st.integers(-5, 5), FINITE, st.booleans(), st.none()),
-                    max_size=3,
-                ),
+                # The store admits string metadata values only.
+                st.dictionaries(TEXT, TEXT, max_size=3),
             ),
             min_size=1,
             max_size=3,

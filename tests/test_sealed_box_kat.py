@@ -2,11 +2,13 @@
 
 Plans (§VII-B key sharing), MSE1/MSE2 report envelopes, MSF1/MSF2
 freshness tokens, MSS1 stream chunks and the stream gateway's derived
-session key and resume token all share one construction: SHA-256
-counter-mode keystream, XOR, then HMAC-SHA256 over header +
-ciphertext, under keys from ``derive_key``.  These digests pin the
-exact bytes each format puts on the wire for a fixed secret and nonce,
-so a refactor of the shared construction cannot drift any of them.
+session key and resume token all share one construction: XOR with
+SHAKE-256(key || nonce), then HMAC-SHA256 over header + ciphertext,
+under keys from ``derive_key`` (labels ending ``-shake256-enc`` and
+``-shake256-mac``).  The freshness tokens and the stream session key
+and resume token use the HMAC step alone.  These digests pin the exact
+bytes each format puts on the wire for a fixed secret and nonce, so a
+refactor of the shared construction cannot drift any of them.
 """
 
 import hashlib
@@ -14,10 +16,16 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro.guard.envelope as guard_envelope
+import repro.guard.freshness as freshness
+import repro.stream.envelope as stream_envelope
+import repro.stream.session as stream_session
+from repro._util.errors import EnvelopeError, IntegrityError
+from repro.crypto import keyshare
 from repro.crypto.encryptor import EncryptionPlan
 from repro.crypto.gains import GainTable
 from repro.crypto.keygen import EntropySource, KeyGenerator
-from repro.crypto.keyshare import keystream, open_plan, seal_plan
+from repro.crypto.keyshare import ENC_SUFFIX, MAC_SUFFIX, keystream, open_plan, seal_plan
 from repro.dsp.peakdetect import DetectedPeak, PeakReport
 from repro.guard.envelope import open_report_with_context, seal_report
 from repro.guard.freshness import TokenMinter, mint_token, parse_token
@@ -62,18 +70,18 @@ def make_samples() -> np.ndarray:
 # SHA-256 of keystream(b"k" * 32, bytes(range(16)), length): 16-hex prefixes.
 KEYSTREAM_PREFIXES = {
     0: "e3b0c44298fc1c14",
-    1: "0bfe935e70c321c7",
-    31: "c04a83ced2ece404",
-    32: "cda8d5036edac1e6",
-    33: "2d8426542e5c7335",
-    81920: "c78ea33a4887bef0",
+    1: "b12dc850a3b0a3b7",
+    31: "3db7cbd62ec13bdb",
+    32: "6ae1cf669ec3411c",
+    33: "f0648b4682a86ec7",
+    81920: "a98b6e566368aec7",
 }
 
 SEALED_DIGESTS = {
-    "plan": "db047e27e69ac6a4efe7c2242a4ed2cc4629ec84087ef98ed39f54e6356183f5",
-    "mse1": "b53a3912559df866b871d6c90b214cc2c973e1d08746d27eaf5320af5502eaa3",
-    "mse2": "1942422e18850e657f71bb333e6ef961260df31ae6d98523be4e76040d3ec54f",
-    "mss1": "4820abff959c6186afcb85754d8ccf939a1fbd9749d33eeaf15299880f8bd8df",
+    "plan": "4f8e3aa165a5f924a05d2fa142b88fb5341c294f28ab4cf99069b9f24484dafa",
+    "mse1": "a6009eef5f27434b7c41f670341931c4661e65533d72bc29f21fef29f826acb7",
+    "mse2": "898b3c15ad0c19cf67642086d0020c8be328307e190955fbcf9899ff31b183c6",
+    "mss1": "463b2b1ad639cd24fa13740edbd7e12d8d083cb4ae04eef3efeb47e89990fc37",
     "msf1": "df43715bfd4c61e1fc2ad3e278e08492c6a37147cd15a917e78b8bd173d05dd7",
     "msf2": "0dfd401a45ac37b96329213b741659f7fba10aed9f62f96cfcd49db7019c74ae",
     "stream-open": "3d8c7e4a6c27414641e0ec7cc86a6592ce3d7f36e6d026ca6d844bffde6c7b54",
@@ -127,3 +135,67 @@ def test_known_answer_blobs_open():
     np.testing.assert_array_equal(open_chunk(blobs["mss1"], SECRET).samples, make_samples())
     token = parse_token(blobs["msf2"], SECRET)
     assert (token.nonce, token.key_epoch, token.context) == (NONCE, 5, CONTEXT)
+
+
+# ---------------------------------------------------------------------------
+# The construction before SHAKE-256, kept only here: a SHA-256 counter-mode
+# keystream under keys labelled ``-enc`` / ``-mac``.  Its digests are the
+# wire bytes the sealed formats carried under it, so the monkeypatched
+# sealers below are checked to really be that construction.
+# ---------------------------------------------------------------------------
+SHA256_CTR_DIGESTS = {
+    "plan": "db047e27e69ac6a4efe7c2242a4ed2cc4629ec84087ef98ed39f54e6356183f5",
+    "mse2": "1942422e18850e657f71bb333e6ef961260df31ae6d98523be4e76040d3ec54f",
+    "mss1": "4820abff959c6186afcb85754d8ccf939a1fbd9749d33eeaf15299880f8bd8df",
+}
+
+
+def sha256_ctr_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
+    """Block ``i`` is SHA-256(key || nonce || i as 8-byte little endian)."""
+    return b"".join(
+        hashlib.sha256(key + nonce + counter.to_bytes(8, "little")).digest()
+        for counter in range(-(-length // 32))
+    )[:length]
+
+
+@pytest.fixture
+def sha256_ctr_blobs(monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr(keyshare, "keystream", sha256_ctr_keystream)
+        patched.setattr(keyshare, "ENC_SUFFIX", b"-enc")
+        patched.setattr(keyshare, "MAC_SUFFIX", b"-mac")
+        blobs = sealed_blobs()
+    return {name: blobs[name] for name in SHA256_CTR_DIGESTS}
+
+
+def test_sha256_ctr_blobs_are_the_old_wire_bytes(sha256_ctr_blobs):
+    for name, blob in sha256_ctr_blobs.items():
+        assert sha(blob) == SHA256_CTR_DIGESTS[name], name
+
+
+def test_sha256_ctr_blobs_refused(sha256_ctr_blobs):
+    # Same secret, same headers: only the construction differs, and the
+    # relabelled MAC key turns that into a failed tag, not garbage.
+    with pytest.raises(IntegrityError, match="failed authentication"):
+        open_plan(sha256_ctr_blobs["plan"], SECRET)
+    with pytest.raises(EnvelopeError, match="failed authentication"):
+        open_report_with_context(sha256_ctr_blobs["mse2"], SECRET)
+    with pytest.raises(EnvelopeError, match="failed authentication"):
+        open_chunk(sha256_ctr_blobs["mss1"], SECRET)
+
+
+def test_derived_key_labels_are_distinct():
+    # Every label a program path hands ``derive_key`` (directly, or via
+    # ``mac`` and ``seal``), old sealed-box labels included: no two keys
+    # coincide, and no label holds the ``|`` that ends it in the KDF input.
+    stems = (keyshare._LABEL, guard_envelope._LABEL, stream_envelope._LABEL)
+    sealed = [stem + suffix for stem in stems for suffix in (ENC_SUFFIX, MAC_SUFFIX)]
+    old = [stem + suffix for stem in stems for suffix in (b"-enc", b"-mac")]
+    mac_only = [
+        freshness._MAC_LABEL,
+        stream_session._RESUME_LABEL,
+        stream_session._SESSION_KEY_LABEL,
+    ]
+    labels = sealed + old + mac_only
+    assert len(set(labels)) == len(labels) == 15
+    assert not any(b"|" in label for label in labels)

@@ -8,9 +8,11 @@ the same float bits (``repr`` tells ``-0.0`` from ``0.0``).  Draws lean
 on the cases that separate ``<`` from ``<=``: ties, plateaus, signed
 zeros, NaN, and barriers at either end of the tail.  Whole streams
 with a tiny trim margin then trim and walk many times per trace and
-must still match one-shot detection.  The keystream's hashed-once
-prefix is checked against the per-block generator.
+must still match one-shot detection.  The keystream is checked to be
+exactly one SHAKE-256 call over ``key || nonce``.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -220,12 +222,13 @@ class TestWholeStreams:
 
 
 class TestKeystreamBlockEdges:
-    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 64, 81_920, 100_003])
+    # Empty, around 32 bytes, one 80 KiB stream chunk, and an odd tail.
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 81_920, 100_003])
     @pytest.mark.parametrize(
         "key, nonce",
         [(b"k" * 32, bytes(range(16))), (bytes(range(32, 64)), b"\xff" * 16)],
     )
-    def test_same_bytes_as_per_block_hash(self, key, nonce, length):
+    def test_same_bytes_as_one_shake_256_call(self, key, nonce, length):
         stream = keystream(key, nonce, length)
         assert len(stream) == length
-        assert stream == oracle.keystream(key, nonce, length)
+        assert stream == hashlib.shake_256(key + nonce).digest(length)
