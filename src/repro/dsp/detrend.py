@@ -126,6 +126,26 @@ def _fit_grid(n: int, order: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cached
 
 
+#: Per-length cache of the triangular blend taper, shared by the
+#: one-shot, fused and streaming detrends.  Entries are read-only.
+_TAPER_CACHE: Dict[int, np.ndarray] = {}
+_TAPER_CACHE_MAX = 128
+
+
+def blend_taper(length: int) -> np.ndarray:
+    """Triangular weights ``min(i + 1, length - i)`` blending one window."""
+    taper = _TAPER_CACHE.get(length)
+    if taper is None:
+        taper = np.minimum(
+            np.arange(1, length + 1), np.arange(length, 0, -1)
+        ).astype(float)
+        taper.setflags(write=False)
+        if len(_TAPER_CACHE) >= _TAPER_CACHE_MAX:
+            _TAPER_CACHE.pop(next(iter(_TAPER_CACHE)))
+        _TAPER_CACHE[length] = taper
+    return taper
+
+
 def fit_baseline_rows(
     segments: np.ndarray, order: int, n_iterations: int = 3
 ) -> np.ndarray:
@@ -303,8 +323,7 @@ def piecewise_polynomial_detrend_rows(
         # Guard against a degenerate fit crossing zero.
         safe = np.where(np.abs(baselines) > 1e-12, baselines, 1e-12)
         detrended = segments / safe
-        length = stop - start
-        taper = np.minimum(np.arange(1, length + 1), np.arange(length, 0, -1)).astype(float)
+        taper = blend_taper(stop - start)
         accumulated[:, start:stop] += detrended * taper
         weights[start:stop] += taper
         if stop >= n:

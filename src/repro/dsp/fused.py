@@ -43,37 +43,20 @@ shapes; ``benchmarks/bench_dsp.py`` records the speedup in the
 ``BENCH_dsp.json`` trajectory.
 """
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import signal as sp_signal
 
 from repro._util.errors import ValidationError
 from repro._util.validation import check_positive
-from repro.dsp.detrend import DetrendConfig, fit_baseline_rows
+from repro.dsp.detrend import DetrendConfig, blend_taper, fit_baseline_rows
 from repro.dsp.peakdetect import DetectedPeak, PeakReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.dsp.peakdetect import PeakDetector
 
 __all__ = ["fused_detect", "fused_dips"]
-
-#: Per-length cache of the triangular blend taper (values identical to
-#: the staged path's per-window recomputation).
-_TAPER_CACHE: Dict[int, np.ndarray] = {}
-_TAPER_CACHE_MAX = 128
-
-
-def _taper(length: int) -> np.ndarray:
-    taper = _TAPER_CACHE.get(length)
-    if taper is None:
-        taper = np.minimum(
-            np.arange(1, length + 1), np.arange(length, 0, -1)
-        ).astype(float)
-        if len(_TAPER_CACHE) >= _TAPER_CACHE_MAX:
-            _TAPER_CACHE.pop(next(iter(_TAPER_CACHE)))
-        _TAPER_CACHE[length] = taper
-    return taper
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +94,7 @@ def fused_dips(
         baselines = fit_baseline_rows(segments, config.order)
         safe = np.where(np.abs(baselines) > 1e-12, baselines, 1e-12)
         detrended = segments / safe
-        taper = _taper(stop - start)
+        taper = blend_taper(stop - start)
         np.multiply(detrended, taper, out=detrended)
         dips[:, start:stop] += detrended
         weights[start:stop] += taper

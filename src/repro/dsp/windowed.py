@@ -23,8 +23,11 @@ module provides that, in three layers:
   bases with ``wlen=-1``, half-prominence width interpolation).  It
   consumes finalized dip columns and emits peaks as soon as their
   outcome is provably fixed, keeping only a bounded carry-over: a
-  retained tail of recent columns, a monotone-stack summary of the
-  trimmed history, and per-peak descending-minima records.
+  retained tail of recent columns and a monotone-stack summary of the
+  trimmed history.  Each feed measures its peaks with the same scipy C
+  walks the one-shot runs: one ``peak_prominences`` call for every
+  newly selected and every still-open peak, one ``peak_widths`` call
+  for the peaks that became final, and one clipped amplitude gather.
 * :class:`WindowedPeakDetector` — the two glued together behind the
   chunk-facing ``feed``/``finish`` API the session layer uses.
 
@@ -47,6 +50,15 @@ amplitude window, including candidates the local-maxima scan has yet
 to reach, whose windows start at most half a window before the scan
 position.
 
+A peak already selected whose right base is still open (no wall, and
+no right sample below its left minimum yet) is not protected by the
+cut.  Its crossing lies at or right of the last sample left of ``p`` at
+or below ``h - (h - lmin) * 0.5``; while the cut leaves that sample in
+the tail, the per-feed scipy walks measure it exactly.  A cut past that
+sample first moves the peak to records: its left walk as strictly
+descending minima ``(pos, value, next_value)``, and its right walk
+extended block by block the same way until it is final.
+
 Known measure-zero caveat: scipy's distance selection breaks *exact*
 peak-height ties with an unstable global argsort; this implementation
 sorts per connected component.  Two bit-equal heights inside one
@@ -58,11 +70,13 @@ distance-1 configuration.
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy import signal as sp_signal
 
 from repro._util.errors import ConfigurationError, ValidationError
 from repro._util.validation import check_positive
 from repro.dsp.detrend import (
     DetrendConfig,
+    blend_taper,
     fit_baseline_rows,
     piecewise_polynomial_detrend_rows,
 )
@@ -155,10 +169,7 @@ class StreamingDetrender:
         baselines = fit_baseline_rows(segments, self.config.order)
         safe = np.where(np.abs(baselines) > 1e-12, baselines, 1e-12)
         detrended = segments / safe
-        length = stop - start
-        taper = np.minimum(
-            np.arange(1, length + 1), np.arange(length, 0, -1)
-        ).astype(float)
+        taper = blend_taper(stop - start)
         self._acc[:, lo:hi] += detrended * taper
         self._weights[lo:hi] += taper
         self._last_stop = stop
@@ -299,6 +310,9 @@ class ExactPeakStream:
                 f"{n_channels} channels"
             )
         self._trim_threshold = max(4 * self.distance, int(trim_margin))
+        self._offsets = np.arange(-self.half_window, self.half_window + 1)[
+            :, np.newaxis
+        ]
         self._tail = np.empty((self.n_channels, 0), dtype=float)
         self._tail_base = 0  # absolute index of tail column 0
         self._n = 0  # finalized samples so far
@@ -306,9 +320,13 @@ class ExactPeakStream:
         self._stack = _MonotoneStack()
         self._scan_i = 1  # next local-maxima scan position
         self._pending: List[dict] = []  # open distance component
-        self._open: List[dict] = []  # survivors awaiting right finalization
-        self._amp_jobs: List[dict] = []  # peaks awaiting amplitude windows
+        self._selected: List[dict] = []  # survivors not yet measured
+        self._open: List[dict] = []  # measured on the tail, right base open
+        self._carried: List[dict] = []  # right base open, measured by records
+        self._amp_jobs: List[dict] = []  # survivors awaiting amplitude windows
         self._complete: List[dict] = []  # fully measured peaks
+        #: Open peaks a trim moved to the record carry-over so far.
+        self.record_fallbacks = 0
         self._finished = False
 
     # -- introspection --------------------------------------------------
@@ -326,7 +344,7 @@ class ExactPeakStream:
             "retained_columns": self._tail.shape[1],
             "stack_entries": len(self._stack),
             "pending_candidates": len(self._pending),
-            "open_peaks": len(self._open),
+            "open_peaks": len(self._open) + len(self._carried),
             "amplitude_jobs": len(self._amp_jobs),
         }
 
@@ -346,12 +364,15 @@ class ExactPeakStream:
         old_n = self._n
         self._tail = np.concatenate([self._tail, block], axis=1)
         self._n += block.shape[1]
-        detection = block[self.channel]
-        self._gmin = min(self._gmin, float(detection.min()))
-        self._feed_open_peaks(old_n)
+        # fmin skips NaN, so a NaN cannot hide the block's minimum from
+        # the trim's cut level.
+        block_min = float(np.fmin.reduce(block[self.channel]))
+        if block_min < self._gmin:
+            self._gmin = block_min
+        self._feed_carried(old_n)
         self._scan()
         self._maybe_close_component(at_finish=False)
-        self._resolve_amplitudes(at_finish=False)
+        self._measure(at_finish=False)
         self._trim()
         return len(self._complete) - before
 
@@ -366,14 +387,14 @@ class ExactPeakStream:
             return PeakReport((), 0.0, self.sampling_rate_hz, self.channel)
         self._scan()
         self._maybe_close_component(at_finish=True)
-        self._resolve_amplitudes(at_finish=True)
-        # Peaks whose right walk hit the end of the trace: the walk
-        # stops at the array edge, so the right minimum seen so far is
-        # the right base minimum.
-        for peak in self._open:
+        self._measure(at_finish=True)
+        # Carried peaks whose right walk hit the end of the trace: the
+        # walk stops at the array edge, so the right minimum seen so far
+        # is the right base minimum.
+        for peak in self._carried:
             prom = peak["h"] - max(peak["lmin"], peak["rmin"])
-            self._finalize_peak(peak, prom)
-        self._open = []
+            self._finalize_from_records(peak, prom)
+        self._carried = []
         done = sorted(
             (p for p in self._complete), key=lambda peak: peak["p"]
         )
@@ -428,57 +449,12 @@ class ExactPeakStream:
 
     # -- candidates and distance selection ------------------------------
     def _candidate(self, p: int) -> None:
-        x = self._tail[self.channel]
-        h = float(x[p - self._tail_base])
+        h = float(self._tail[self.channel, p - self._tail_base])
         if not self.threshold <= h:
             return
         if self._pending and p - self._pending[-1]["p"] >= self.distance:
             self._close_component()
-        records, lmin = self._left_package(p, h)
-        lo = max(p - self.half_window, 0)
-        peak = {
-            "p": p,
-            "h": h,
-            "lmin": lmin,
-            "lrecords": records,
-            "lo": lo,
-            "amps": None,
-            "width": None,
-            "dead": False,
-        }
-        self._pending.append(peak)
-        self._amp_jobs.append(peak)
-
-    def _left_package(
-        self, p: int, h: float
-    ) -> Tuple[List[Tuple[int, float, float]], float]:
-        """Walk left from ``p`` as scipy's prominence walk would.
-
-        The walk is array passes with the scalar walk's comparisons: the
-        nearest sample ``> h`` is the barrier, and below it a record is
-        a sample strictly below ``h`` and everything nearer the peak.
-        Returns the strictly-descending running-minima records
-        ``(pos, value, next_value)`` found inside the retained tail and
-        the left minimum (folding in the trimmed-history stack when the
-        walk falls off the tail without meeting a barrier).
-        """
-        x = self._tail[self.channel]
-        base = self._tail_base
-        left = x[: p - base]
-        barrier = np.flatnonzero(left > h)
-        start = int(barrier[-1]) + 1 if barrier.shape[0] else 0
-        walk = left[start:][::-1]
-        # fmin, unlike minimum, skips NaN as the scalar ``v < cur`` does.
-        running = np.fmin.accumulate(np.concatenate(([h], walk)))
-        at = (p - base - 1) - np.flatnonzero(walk < running[:-1])
-        records = list(
-            zip((at + base).tolist(), x[at].tolist(), x[at + 1].tolist())
-        )
-        cur = records[-1][1] if records else h
-        if barrier.shape[0]:
-            return records, cur  # barrier stops the walk
-        trimmed_min, _ = self._stack.query(h)
-        return records, min(cur, trimmed_min)
+        self._pending.append({"p": p, "h": h, "amps": None, "width": None})
 
     def _maybe_close_component(self, at_finish: bool) -> None:
         if not self._pending:
@@ -489,24 +465,12 @@ class ExactPeakStream:
     def _close_component(self) -> None:
         pending, self._pending = self._pending, []
         if len(pending) == 1:
-            keep = [True]
-        else:
-            keep = self._select_by_distance(pending)
-        for peak, kept in zip(pending, keep):
-            if not kept:
-                peak["dead"] = True
-                continue
-            peak["rmin"] = peak["h"]
-            peak["rrecords"] = []
-            # Backlog: detection samples finalized since the peak.
-            start = peak["p"] + 1
-            if start < self._n:
-                x = self._tail[self.channel]
-                seg = x[start - self._tail_base : self._n - self._tail_base]
-                if not self._feed_right(peak, seg, start, peak["h"]):
-                    self._open.append(peak)
-            else:
-                self._open.append(peak)
+            self._selected.append(pending[0])
+            return
+        keep = self._select_by_distance(pending)
+        self._selected.extend(
+            peak for peak, kept in zip(pending, keep) if kept
+        )
 
     def _select_by_distance(self, pending: List[dict]) -> List[bool]:
         """scipy's _select_by_peak_distance on one closed component."""
@@ -529,9 +493,205 @@ class ExactPeakStream:
                 k += 1
         return keep
 
-    # -- right-side tracking --------------------------------------------
-    def _feed_open_peaks(self, block_start: int) -> None:
-        if not self._open:
+    # -- per-feed measurement -------------------------------------------
+    def _measure(self, at_finish: bool) -> None:
+        """Measure the newly selected and the open peaks on the tail."""
+        new, self._selected = self._selected, []
+        self._amp_jobs.extend(new)
+        peaks, self._open = self._open + new, []
+        if peaks:
+            self._measure_widths(peaks, len(new), at_finish)
+        self._gather_amplitudes(at_finish)
+
+    def _measure_widths(
+        self, peaks: List[dict], n_new: int, at_finish: bool
+    ) -> None:
+        """Finalize the widths of ``peaks`` (the last ``n_new`` are new).
+
+        One :func:`scipy.signal.peak_prominences` call walks every
+        peak's bases over the tail's detection row; a new peak whose
+        left walk met no wall (a sample failing ``x <= h``) before the
+        tail's start folds in the trimmed history.  A peak is final
+        once its right walk met a wall, or its right minimum sank below
+        its left minimum (the base maximum is then pinned to the left
+        minimum), or the trace ended; one
+        :func:`scipy.signal.peak_widths` call measures every final peak
+        with its true prominence.  The trim invariant keeps each width
+        walk's crossing inside the tail, so the walk bounded by the
+        tail's bases stops where the full-trace walk does.  The other
+        peaks stay open.
+        """
+        base = self._tail_base
+        x = self._tail[self.channel]
+        pos = np.fromiter((peak["p"] for peak in peaks), np.intp, len(peaks))
+        pos -= base
+        heights = x[pos]
+        _, lbases, rbases = sp_signal.peak_prominences(x, pos)
+        lmin = x[lbases]
+        n_old = len(peaks) - n_new
+        lmin[:n_old] = [peak["lmin"] for peak in peaks[:n_old]]
+        if n_new and len(self._stack):
+            fresh = pos[n_old:]
+            reach = np.maximum.accumulate(x[: int(fresh.max())])
+            no_wall = reach[fresh - 1] <= heights[n_old:]
+            for k in (np.flatnonzero(no_wall) + n_old).tolist():
+                trimmed_min, _ = self._stack.query(float(heights[k]))
+                lmin[k] = min(float(lmin[k]), trimmed_min)
+        for peak, value in zip(peaks[n_old:], lmin[n_old:].tolist()):
+            peak["lmin"] = value
+        rmin = x[rbases]
+        if at_finish:
+            final = np.ones(len(peaks), dtype=bool)
+        else:
+            # NaN-propagating suffix maximum: a wall lies right of p
+            # iff the maximum after it fails ``<= h``.
+            start = int(pos.min()) + 1
+            ahead = np.maximum.accumulate(x[start:][::-1])[::-1]
+            wall = ~(ahead[pos + 1 - start] <= heights)
+            final = wall | (rmin < lmin)
+            self._open = [peaks[k] for k in np.flatnonzero(~final).tolist()]
+        done = np.flatnonzero(final)
+        if done.shape[0]:
+            # ``max(left_min, right_min)`` as scipy's walk takes it.
+            floor = np.where(rmin[done] > lmin[done], rmin[done], lmin[done])
+            _, level, left_ips, right_ips = sp_signal.peak_widths(
+                x,
+                pos[done],
+                rel_height=0.5,
+                prominence_data=(
+                    heights[done] - floor,
+                    lbases[done],
+                    rbases[done],
+                ),
+            )
+            widths = self._absolute_widths(
+                x, level, left_ips, right_ips, lbases[done], rbases[done]
+            )
+            for k, width in zip(done.tolist(), widths.tolist()):
+                peak = peaks[k]
+                peak["width"] = width
+                if peak["amps"] is not None:
+                    self._complete.append(peak)
+
+    def _absolute_widths(
+        self,
+        x: np.ndarray,
+        level: np.ndarray,
+        left_ips: np.ndarray,
+        right_ips: np.ndarray,
+        lbases: np.ndarray,
+        rbases: np.ndarray,
+    ) -> np.ndarray:
+        """Re-interpolate scipy's half-height crossings at absolute indices.
+
+        scipy's walks ran in tail coordinates, where ``i + frac`` rounds
+        differently than at the absolute ``i`` the one-shot walk uses.
+        Each crossing lies next to the sample its walk stopped on (a
+        fraction that rounds up to the next sample lands on a sample
+        still above ``level``), so the crossing is recomputed there with
+        the walk's own float operations.  Left crossings come first;
+        ``inward`` is the step from the stopping sample towards the
+        peak.
+        """
+        k = level.shape[0]
+        inward = np.repeat(np.array([1, -1]), k)
+        level = np.concatenate((level, level))
+        at = np.concatenate((np.floor(left_ips), np.ceil(right_ips)))
+        at = at.astype(np.intp)
+        at -= inward * (level < x[at])
+        if np.any(inward * (at - np.concatenate((lbases, rbases))) < 0):
+            raise AssertionError(
+                "half-prominence crossing outside the retained tail; "
+                "the trim invariant was violated"
+            )
+        ip = (at + self._tail_base).astype(float)
+        below = np.flatnonzero(x[at] < level)
+        if below.shape[0]:
+            i, h, step = at[below], level[below], inward[below]
+            ip[below] += step * ((h - x[i]) / (x[i + step] - x[i]))
+        return ip[k:] - ip[:k]
+
+    def _gather_amplitudes(self, at_finish: bool) -> None:
+        """One clipped window-max gather, as the one-shot measures it."""
+        if not self._amp_jobs:
+            return
+        ready: List[dict] = []
+        waiting: List[dict] = []
+        for peak in self._amp_jobs:
+            complete = peak["p"] + self.half_window < self._n
+            (ready if complete or at_finish else waiting).append(peak)
+        self._amp_jobs = waiting
+        if not ready:
+            return
+        pos = np.fromiter((peak["p"] for peak in ready), np.intp, len(ready))
+        gather = np.clip(pos + self._offsets, 0, self._n - 1) - self._tail_base
+        amplitudes = self._tail[:, gather].max(axis=1)
+        for j, peak in enumerate(ready):
+            peak["amps"] = amplitudes[:, j].copy()
+            if peak["width"] is not None:
+                self._complete.append(peak)
+
+    # -- record carry-over ----------------------------------------------
+    def _carry_by_records(self, cut: int) -> None:
+        """Move open peaks whose left crossing a cut at ``cut`` could lose.
+
+        The crossing lies at or right of the last sample left of ``p``
+        at or below ``h - (h - lmin) * 0.5`` (the lowest half-height the
+        right base can still give).  While that sample is retained the
+        tail measures the peak; otherwise the peak keeps its left walk
+        as descending-minima records and extends its right walk block
+        by block.
+        """
+        x = self._tail[self.channel]
+        base = self._tail_base
+        kept = []
+        for peak in self._open:
+            p, h = peak["p"], peak["h"]
+            lowest = h - (h - peak["lmin"]) * 0.5
+            if np.any(x[cut - base : p - base] <= lowest):
+                kept.append(peak)
+                continue
+            self.record_fallbacks += 1
+            peak["lrecords"], _ = self._left_package(p, h)
+            peak["rmin"] = h
+            peak["rrecords"] = []
+            if not self._feed_right(peak, x[p + 1 - base : self._n - base], p + 1, h):
+                self._carried.append(peak)
+        self._open = kept
+
+    def _left_package(
+        self, p: int, h: float
+    ) -> Tuple[List[Tuple[int, float, float]], float]:
+        """Walk left from ``p`` as scipy's prominence walk would.
+
+        The walk is array passes with the scalar walk's comparisons: the
+        nearest sample failing ``x <= h`` (taller, or NaN) is the
+        barrier, and below it a record is a sample strictly below ``h``
+        and everything nearer the peak.  Returns the strictly-descending
+        running-minima records ``(pos, value, next_value)`` found inside
+        the retained tail and the left minimum (folding in the
+        trimmed-history stack when the walk falls off the tail without
+        meeting a barrier).
+        """
+        x = self._tail[self.channel]
+        base = self._tail_base
+        left = x[: p - base]
+        barrier = np.flatnonzero(~(left <= h))
+        start = int(barrier[-1]) + 1 if barrier.shape[0] else 0
+        walk = left[start:][::-1]
+        running = np.minimum.accumulate(np.concatenate(([h], walk)))
+        at = (p - base - 1) - np.flatnonzero(walk < running[:-1])
+        records = list(
+            zip((at + base).tolist(), x[at].tolist(), x[at + 1].tolist())
+        )
+        cur = records[-1][1] if records else h
+        if barrier.shape[0]:
+            return records, cur  # barrier stops the walk
+        trimmed_min, _ = self._stack.query(h)
+        return records, min(cur, trimmed_min)
+
+    def _feed_carried(self, block_start: int) -> None:
+        if not self._carried:
             return
         x = self._tail[self.channel]
         base = self._tail_base
@@ -540,19 +700,19 @@ class ExactPeakStream:
             float(x[block_start - 1 - base]) if block_start > base else None
         )
         survivors = []
-        for peak in self._open:
+        for peak in self._carried:
             prev_val = prev if prev is not None else peak["h"]
             if not self._feed_right(peak, seg, block_start, prev_val):
                 survivors.append(peak)
-        self._open = survivors
+        self._carried = survivors
 
     def _feed_right(
         self, peak: dict, seg: np.ndarray, seg_start: int, prev_val: float
     ) -> bool:
         """Advance one peak's right walk over ``seg``; True if finalized."""
         h = peak["h"]
-        above = seg > h
-        limit = int(np.argmax(above)) if above.any() else seg.shape[0]
+        wall = ~(seg <= h)
+        limit = int(np.argmax(wall)) if wall.any() else seg.shape[0]
         sub = seg[:limit]
         if sub.shape[0]:
             # Running minimum carried across blocks: a record is a sample
@@ -572,15 +732,15 @@ class ExactPeakStream:
                     # two base minima is pinned to lmin, so prominence —
                     # and the crossing, which is at or before this
                     # record — are already decided.
-                    self._finalize_peak(peak, h - peak["lmin"])
+                    self._finalize_from_records(peak, h - peak["lmin"])
                     return True
         if limit < seg.shape[0]:
-            self._finalize_peak(peak, h - max(peak["lmin"], peak["rmin"]))
+            prom = h - max(peak["lmin"], peak["rmin"])
+            self._finalize_from_records(peak, prom)
             return True
         return False
 
-    # -- finalization ---------------------------------------------------
-    def _finalize_peak(self, peak: dict, prominence: float) -> None:
+    def _finalize_from_records(self, peak: dict, prominence: float) -> None:
         h = peak["h"]
         level = h - prominence * 0.5
         p = peak["p"]
@@ -614,39 +774,17 @@ class ExactPeakStream:
             "the trim invariant was violated"
         )
 
-    # -- amplitudes ------------------------------------------------------
-    def _resolve_amplitudes(self, at_finish: bool) -> None:
-        if not self._amp_jobs:
-            return
-        remaining = []
-        for peak in self._amp_jobs:
-            if peak["dead"]:
-                continue
-            hi = peak["p"] + self.half_window + 1
-            if hi <= self._n or at_finish:
-                hi = min(hi, self._n)
-                lo = peak["lo"] - self._tail_base
-                peak["amps"] = self._tail[:, lo : hi - self._tail_base].max(
-                    axis=1
-                )
-                if peak["width"] is not None:
-                    self._complete.append(peak)
-            else:
-                remaining.append(peak)
-        self._amp_jobs = remaining
-
     # -- trimming --------------------------------------------------------
     def _trim(self) -> None:
         if self._tail.shape[1] <= self._trim_threshold:
             return
         # A candidate the scan has yet to find sits at or after
-        # ``_scan_i``, and its amplitude window starts half a window
-        # before it.
-        bound = self._scan_i - self.half_window
-        for peak in self._pending:
-            bound = min(bound, peak["lo"], peak["p"])
-        for peak in self._amp_jobs:
-            bound = min(bound, peak["lo"])
+        # ``_scan_i``; every candidate's amplitude window starts half a
+        # window before it.
+        bound = self._scan_i
+        for peak in self._pending + self._amp_jobs:
+            bound = min(bound, peak["p"])
+        bound -= self.half_window
         if bound <= self._tail_base:
             return
         if not np.isfinite(self._gmin):
@@ -658,6 +796,7 @@ class ExactPeakStream:
         if eligible.shape[0] == 0:
             return
         cut = self._tail_base + 1 + int(eligible[-1])
+        self._carry_by_records(cut)
         self._stack.extend(x[: cut - self._tail_base])
         self._tail = self._tail[:, cut - self._tail_base :]
         self._tail_base = cut

@@ -37,14 +37,15 @@ def left_walk(
 
     Returns the strictly descending running-minimum records
     ``(pos, value, next_value)``, the minimum reached, and whether a
-    sample ``> h`` stopped the walk.
+    wall stopped the walk: a sample failing ``x <= h`` (taller, or NaN),
+    as in scipy's prominence walk.
     """
     records: List[Record] = []
     cur = h
     i = p - 1
     while i >= base:
         v = float(x[i - base])
-        if v > h:
+        if not v <= h:
             return records, cur, True
         if v < cur:
             records.append((i, v, float(x[i + 1 - base])))

@@ -13,16 +13,19 @@ exactly one SHAKE-256 call over ``key || nonce``.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.signal._peak_finding_utils import PeakPropertyWarning
 
 from repro._util.rng import ensure_rng
 from repro.crypto.keyshare import keystream
 from repro.dsp import PeakDetector
 from repro.dsp.detrend import piecewise_polynomial_detrend_rows
+from repro.dsp.fused import _measure_trace
 from repro.dsp.windowed import ExactPeakStream, _MonotoneStack
 from repro.stream import report_digest, synthetic_stream_trace
 
@@ -128,7 +131,8 @@ class TestLeftWalk:
             ([0.0, 0.5, 3.0, 2.0], 3),  # barrier at the last position
             ([2.0, 2.0, 2.0, 2.0], 3),  # plateau: equal is not a record
             ([1.0, 0.0, -0.0, 0.0, 1.0], 4),  # signed zeros tie
-            ([0.0, NAN, -1.0, NAN, 1.0], 4),  # NaN neither stops nor records
+            ([0.0, NAN, -1.0, NAN, 1.0], 4),  # NaN stops the walk like a wall
+            ([-1.0, NAN, 0.5, 1.0], 3),  # the minimum beyond a NaN is not reached
         ],
     )
     def test_edge_tails(self, tail, p_rel):
@@ -219,6 +223,113 @@ class TestWholeStreams:
         # columns mid-stream and the peak stream trims between chunks.
         trace = synthetic_stream_trace(ensure_rng(seed), n_channels=2, n_samples=24_000)
         assert streamed_digest(trace, sizes) == one_shot_digest(trace)
+
+
+def feed_in_blocks(stream, dips, size):
+    for pos in range(0, dips.shape[1], size):
+        stream.feed(dips[:, pos : pos + size])
+    return stream.finish()
+
+
+class TestRecordFallback:
+    def tall_open_peak(self):
+        """Detrended dips with one tall peak that stays open to the end.
+
+        A deep minimum just left of the peak keeps every later sample
+        above its left minimum, nothing later is taller, and periodic
+        lows between the two let tight trims cut past the peak.
+        """
+        detector = PeakDetector()
+        trace = synthetic_stream_trace(ensure_rng(3), n_channels=2, n_samples=3000)
+        dips = 1.0 - piecewise_polynomial_detrend_rows(trace, FS, detector.detrend)
+        low = float(dips.min()) - 1.0
+        dips[0, 300] = low
+        dips[0, 320] = float(dips.max()) + 1.0
+        dips[0, 600::300] = 0.75 * low
+        return detector, dips
+
+    @pytest.mark.parametrize("size", [1, 37, 100, 512])
+    def test_open_peak_across_tight_trims_matches_one_shot(self, size):
+        detector, dips = self.tall_open_peak()
+        stream = ExactPeakStream(
+            2, FS, detector.depth_threshold, detector.min_separation_s, 0,
+            trim_margin=32,
+        )
+        trims_past_peak = 0
+        for pos in range(0, dips.shape[1], size):
+            base = stream._tail_base
+            stream.feed(dips[:, pos : pos + size])
+            if stream._tail_base != base and stream._tail_base > 320:
+                trims_past_peak += 1
+        report = stream.finish()
+        assert stream.record_fallbacks >= 1
+        assert trims_past_peak >= 3
+        assert 320 in [peak.sample_index for peak in report.peaks]
+        expected = report_from_dips(detector, dips, FS)
+        assert report_digest(report) == report_digest(expected)
+
+    def test_no_fallback_without_tight_trims(self):
+        detector, dips = self.tall_open_peak()
+        stream = ExactPeakStream(
+            2, FS, detector.depth_threshold, detector.min_separation_s, 0
+        )
+        feed_in_blocks(stream, dips, 512)
+        assert stream.record_fallbacks == 0
+
+    def test_no_peak_property_warning(self):
+        # The per-feed scipy calls see only peaks with a strictly lower
+        # neighbour on each side, so neither zero prominences nor zero
+        # widths are reported, feed after feed.
+        trace = synthetic_stream_trace(ensure_rng(11), n_channels=2, n_samples=24_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PeakPropertyWarning)
+            assert streamed_digest(trace, [512]) == one_shot_digest(trace)
+
+
+class TestNanWalls:
+    """A NaN stops scipy's prominence and width walks (``x <= h`` fails)."""
+
+    def test_nan_stops_the_left_walk(self):
+        x = np.zeros((2, 400))
+        x[0, [50, 100, 150, 200, 250]] = [0.9, -0.5, NAN, 0.6, -0.3]
+        stream = ExactPeakStream(2, 100.0, 0.3, 0.01, 0)
+        stream.feed(x)
+        report = stream.finish()
+        expected = _measure_trace(x, 100.0, 0.3, 1, 0)
+        assert report_digest(report) == report_digest(expected)
+        assert report.peaks[1].sample_index == 200
+        assert report.peaks[1].width_s == 0.01
+
+    @pytest.mark.parametrize("size", [7, 50])
+    def test_nan_stops_a_carried_right_walk(self, size):
+        # The peak at 40 is carried by records once a trim cuts past
+        # it; the NaN then ends its right walk before the sample below
+        # its left minimum, so its prominence is 2.5, not 3.
+        x = np.zeros((2, 400))
+        x[0, [10, 40, 100, 200, 250]] = [-1.0, 2.0, -0.5, NAN, -2.0]
+        stream = ExactPeakStream(2, 100.0, 0.3, 0.01, 0, trim_margin=32)
+        report = feed_in_blocks(stream, x, size)
+        assert stream.record_fallbacks == 1
+        expected = _measure_trace(x, 100.0, 0.3, 1, 0)
+        assert report_digest(report) == report_digest(expected)
+        assert report.peaks[0].width_s == pytest.approx(0.0125)
+
+    def test_nan_in_a_block_keeps_its_minimum_for_the_cut_level(self):
+        # The first block holds a NaN and the trace minimum.  The trim's
+        # cut level must still see that minimum: cut at a 0.1 sample,
+        # the tail would lose the crossing of the peak at 200, whose
+        # half-height (0.0) lies below everything between 10 and 200.
+        x = np.zeros((2, 400))
+        x[0, 5] = NAN
+        x[0, 10] = -1.0
+        x[0, 11:100] = 0.1
+        x[0, 100:200] = 0.6
+        x[0, 200] = 1.0
+        x[0, 210] = -1.5
+        stream = ExactPeakStream(2, 100.0, 0.3, 0.01, 0, trim_margin=32)
+        report = feed_in_blocks(stream, x, 50)
+        expected = _measure_trace(x, 100.0, 0.3, 1, 0)
+        assert report_digest(report) == report_digest(expected)
 
 
 class TestKeystreamBlockEdges:
