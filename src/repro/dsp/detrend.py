@@ -18,6 +18,7 @@ so that comparison can be reproduced; the ablation itself lives in
 ``tests/test_dsp_detrend.py`` (``TestGlobalDetrendAblation``).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -96,8 +97,9 @@ def _fit_baseline(window: np.ndarray, order: int, n_iterations: int = 3) -> np.n
 
 # Per-(length, order) fit grid: the x axis, its powers up to 2*order
 # (built by repeated multiplication, never ``**``), and the full-mask
-# moments.  Bounded so hypothesis-style workloads with many distinct
-# window lengths cannot grow it without limit.
+# moments.  Every call shares them, so they are read-only.  Bounded so
+# hypothesis-style workloads with many distinct window lengths cannot
+# grow it without limit.
 _GRID_CACHE: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 _GRID_CACHE_MAX = 128
 
@@ -119,6 +121,8 @@ def _fit_grid(n: int, order: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         for p in range(1, 2 * order + 1):
             np.multiply(powers[p - 1], x, out=powers[p])
         full_moments = powers.sum(axis=1)
+        for shared in (x, powers, full_moments):
+            shared.setflags(write=False)
         if len(_GRID_CACHE) >= _GRID_CACHE_MAX:
             _GRID_CACHE.pop(next(iter(_GRID_CACHE)))
         cached = (x, powers, full_moments)
@@ -156,8 +160,8 @@ def fit_baseline_rows(
     equations so one call fits the whole matrix: the Gram moments and
     right-hand sides are full-length masked reductions, the per-row
     ``(order+1)``-square systems are solved as one stacked
-    :func:`numpy.linalg.solve`, and the polynomial is evaluated with a
-    vectorised Horner pass.
+    :func:`numpy.linalg.solve`, and the polynomial is evaluated with an
+    in-place Horner pass.
 
     The arithmetic of each row is **independent of which other rows
     share the call**: the input is copied to a canonical contiguous
@@ -167,6 +171,12 @@ def fit_baseline_rows(
     lets the fused one-shot path, the windowed-streaming path and the
     staged test oracle share this kernel while staying bit-identical to
     each other.
+
+    Work that is exact to skip is skipped: iteration 0 has unit weights
+    (``1.0 * v == v``), so it multiplies by neither the weights nor the
+    all-ones power, and the robust scale comes from :func:`_median`
+    rather than :func:`numpy.median`.  The baselines are byte-identical
+    to the plain formulation kept in ``tests/_fit_oracle.py``.
     """
     segments = np.ascontiguousarray(np.asarray(segments, dtype=float))
     if segments.ndim != 2:
@@ -187,59 +197,109 @@ def fit_baseline_rows(
         return baseline
     x, powers, full_moments = _fit_grid(n, order)
     d = order + 1
+    hankel = np.add.outer(np.arange(d), np.arange(d))
     baseline = np.empty((rows, n))
+    # Two (rows, n) scratch buffers; an iteration uses their first
+    # ``n_active`` rows, which stay C-contiguous.
+    product_buffer = np.empty((rows, n))
+    weight_buffer = np.empty((rows, n))
     # Rows still iterating; converged rows keep their last baseline.
     active = np.arange(rows)
     seg_active = segments
-    keep_active = np.ones((rows, n), dtype=bool)
+    keep_active = None  # every sample is kept at iteration 0
     last = max(n_iterations, 1) - 1
     for iteration in range(last + 1):
         n_active = active.shape[0]
-        weights = keep_active.astype(float)
+        product = product_buffer[:n_active]
         if iteration == 0:
+            # Unit weights: the moments are the cached full-mask ones
+            # and the weighted segments are the segments themselves.
             moments = np.repeat(full_moments[np.newaxis, :], n_active, axis=0)
+            weighted = seg_active
         else:
+            weights = weight_buffer[:n_active]
+            np.copyto(weights, keep_active)
             moments = np.empty((n_active, 2 * order + 1))
-            for p in range(2 * order + 1):
-                moments[:, p] = (weights * powers[p]).sum(axis=1)
-        weighted = weights * seg_active
+            moments[:, 0] = weights.sum(axis=1)
+            for p in range(1, 2 * order + 1):
+                moments[:, p] = np.multiply(weights, powers[p], out=product).sum(axis=1)
+            weighted = np.multiply(weights, seg_active, out=weights)
         rhs = np.empty((n_active, d))
-        for j in range(d):
-            rhs[:, j] = (weighted * powers[j]).sum(axis=1)
-        gram = np.empty((n_active, d, d))
-        for j in range(d):
-            for k in range(j, d):
-                gram[:, j, k] = moments[:, j + k]
-                if k != j:
-                    gram[:, k, j] = moments[:, j + k]
-        coefficients = _solve_rows(gram, rhs)
-        fitted = np.repeat(coefficients[:, -1][:, np.newaxis], n, axis=1)
-        for j in range(d - 2, -1, -1):
-            fitted = fitted * x[np.newaxis, :] + coefficients[:, j][:, np.newaxis]
-        baseline[active] = fitted
+        rhs[:, 0] = weighted.sum(axis=1)
+        for j in range(1, d):
+            rhs[:, j] = np.multiply(weighted, powers[j], out=product).sum(axis=1)
+        coefficients = _solve_rows(moments[:, hankel], rhs)
+        fitted = baseline if n_active == rows else np.empty((n_active, n))
+        _horner(coefficients, x, fitted)
+        if fitted is not baseline:
+            baseline[active] = fitted
         if iteration == last:
             break
-        residual = seg_active - fitted
+        residual = np.subtract(seg_active, fitted, out=product)
         converged = ~(residual < 0).any(axis=1)
-        new_keep = keep_active.copy()
+        magnitude = np.abs(residual, out=weight_buffer[:n_active])
+        still = []
+        new_keep = []
         for row in range(n_active):
             if converged[row]:
                 continue
-            kept_abs = np.abs(residual[row][keep_active[row]])
-            scale = 1.4826 * np.median(kept_abs) + 1e-15
+            kept = magnitude[row] if iteration == 0 else magnitude[row][keep_active[row]]
+            scale = 1.4826 * _median(kept) + 1e-15
             refit = residual[row] > -2.5 * scale
+            count = np.count_nonzero(refit)
             # Never discard so much that the fit becomes degenerate.
-            if refit.sum() <= order + 1 or np.array_equal(refit, keep_active[row]):
-                converged[row] = True
-            else:
-                new_keep[row] = refit
-        still = ~converged
-        if not still.any():
+            if count <= order + 1:
+                continue
+            # Unchanged mask: at iteration 0 every sample was kept.
+            if count == kept.shape[0] and (
+                iteration == 0 or np.array_equal(refit, keep_active[row])
+            ):
+                continue
+            still.append(row)
+            new_keep.append(refit)
+        if not still:
             break
         active = active[still]
-        seg_active = np.ascontiguousarray(seg_active[still])
-        keep_active = np.ascontiguousarray(new_keep[still])
+        seg_active = seg_active[still]
+        keep_active = np.array(new_keep)
     return baseline
+
+
+def _horner(coefficients: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """Evaluate each row's polynomial over ``x`` into ``out``, in place."""
+    d = coefficients.shape[1]
+    if d == 1:
+        out[...] = coefficients
+        return
+    np.multiply(x, coefficients[:, -1:], out=out)
+    out += coefficients[:, -2:-1]
+    for j in range(d - 3, -1, -1):
+        out *= x
+        out += coefficients[:, j : j + 1]
+
+
+def _median(values: np.ndarray) -> float:
+    """:func:`numpy.median` of a 1-D float array, reordering it in place.
+
+    The median's inputs are order statistics, which are values, not
+    positions: numpy's ``_median`` partitions at the middle index (or
+    the two middle indices) and ``-1``, takes ``(a + b) / 2`` of the
+    middle pair, and returns NaN when the largest element is NaN.  One
+    partition at the upper middle index, the maximum below it for the
+    lower middle value, and a NaN-propagating maximum give the same
+    numbers in about half the time.  ``values`` must not be empty, and
+    must not hold ``-0.0`` (whose place among zeros a partition does
+    not fix); the kernel passes absolute values.
+    """
+    size = values.shape[0]
+    half = size // 2
+    values.partition(half)
+    top = float(values.max())
+    if math.isnan(top):
+        return top
+    if size % 2:
+        return float(values[half])
+    return (float(values[:half].max()) + float(values[half])) / 2
 
 
 def _solve_rows(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -262,6 +322,30 @@ def _solve_rows(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             except np.linalg.LinAlgError:
                 out[row] = np.linalg.lstsq(gram[row], rhs[row], rcond=None)[0]
         return out
+
+
+def blend_window(
+    segments: np.ndarray,
+    order: int,
+    accumulated: np.ndarray,
+    weights: np.ndarray,
+) -> None:
+    """Fit, normalise and taper one window, adding it into the blend.
+
+    ``segments`` is the window's ``(rows, length)`` raw columns;
+    ``accumulated`` and ``weights`` are views of the same columns of the
+    running blend and its taper sum, updated in place.  The one-shot,
+    fused and streaming detrends all blend through this one step, so
+    they run the same arithmetic on the same operands.
+    """
+    baselines = fit_baseline_rows(segments, order)
+    # Guard against a degenerate fit crossing zero.
+    safe = np.where(np.abs(baselines) > 1e-12, baselines, 1e-12)
+    detrended = np.divide(segments, safe, out=safe)
+    taper = blend_taper(segments.shape[1])
+    detrended *= taper
+    accumulated += detrended
+    weights += taper
 
 
 def piecewise_polynomial_detrend(
@@ -318,14 +402,12 @@ def piecewise_polynomial_detrend_rows(
     start = 0
     while True:
         stop = min(start + window, n)
-        segments = signals[:, start:stop]
-        baselines = fit_baseline_rows(segments, config.order)
-        # Guard against a degenerate fit crossing zero.
-        safe = np.where(np.abs(baselines) > 1e-12, baselines, 1e-12)
-        detrended = segments / safe
-        taper = blend_taper(stop - start)
-        accumulated[:, start:stop] += detrended * taper
-        weights[start:stop] += taper
+        blend_window(
+            signals[:, start:stop],
+            config.order,
+            accumulated[:, start:stop],
+            weights[start:stop],
+        )
         if stop >= n:
             break
         start += step

@@ -27,12 +27,13 @@ bit-identical amplitudes — to the staged pipeline kept in
 by the oracle's per-peak ``report_from_dips`` loop).  That holds by
 construction:
 
-* both paths fit window baselines with the shared, per-row-independent
-  :func:`~repro.dsp.detrend.fit_baseline_rows` kernel;
-* the fused blend applies the same elementwise ufuncs to the same
-  operands, merely writing into a pre-allocated buffer instead of
-  allocating per stage (IEEE elementwise results do not depend on the
-  destination);
+* both paths fit, normalise and taper every window through the shared
+  :func:`~repro.dsp.detrend.blend_window` step, whose
+  :func:`~repro.dsp.detrend.fit_baseline_rows` kernel is
+  per-row independent;
+* the fused pass merely blends into its output buffer and runs the
+  normalisation and inversion in place on it (IEEE elementwise results
+  do not depend on the destination);
 * the window-max amplitude gather clamps its index window to the trace
   edges, so each peak's gathered multiset equals the staged slice's
   (duplicated edge samples cannot change a max).
@@ -50,7 +51,7 @@ from scipy import signal as sp_signal
 
 from repro._util.errors import ValidationError
 from repro._util.validation import check_positive
-from repro.dsp.detrend import DetrendConfig, blend_taper, fit_baseline_rows
+from repro.dsp.detrend import DetrendConfig, blend_window
 from repro.dsp.peakdetect import DetectedPeak, PeakReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -90,14 +91,9 @@ def fused_dips(
     start = 0
     while True:
         stop = min(start + window, n)
-        segments = data[:, start:stop]
-        baselines = fit_baseline_rows(segments, config.order)
-        safe = np.where(np.abs(baselines) > 1e-12, baselines, 1e-12)
-        detrended = segments / safe
-        taper = blend_taper(stop - start)
-        np.multiply(detrended, taper, out=detrended)
-        dips[:, start:stop] += detrended
-        weights[start:stop] += taper
+        blend_window(
+            data[:, start:stop], config.order, dips[:, start:stop], weights[start:stop]
+        )
         if stop >= n:
             break
         start += step

@@ -76,8 +76,7 @@ from repro._util.errors import ConfigurationError, ValidationError
 from repro._util.validation import check_positive
 from repro.dsp.detrend import (
     DetrendConfig,
-    blend_taper,
-    fit_baseline_rows,
+    blend_window,
     piecewise_polynomial_detrend_rows,
 )
 from repro.dsp.peakdetect import DetectedPeak, PeakDetector, PeakReport
@@ -165,13 +164,12 @@ class StreamingDetrender:
         """Fit and blend one baseline window, as the one-shot loop does."""
         lo = start - self._base
         hi = stop - self._base
-        segments = self._buffer[:, lo:hi]
-        baselines = fit_baseline_rows(segments, self.config.order)
-        safe = np.where(np.abs(baselines) > 1e-12, baselines, 1e-12)
-        detrended = segments / safe
-        taper = blend_taper(stop - start)
-        self._acc[:, lo:hi] += detrended * taper
-        self._weights[lo:hi] += taper
+        blend_window(
+            self._buffer[:, lo:hi],
+            self.config.order,
+            self._acc[:, lo:hi],
+            self._weights[lo:hi],
+        )
         self._last_stop = stop
         self._n_windows += 1
 

@@ -210,3 +210,19 @@ class TestFitBaselineRows:
         for n in range(10, 10 + _GRID_CACHE_MAX + 20):
             fit_baseline_rows(1.0 + 0.01 * rng.standard_normal((1, n)), 2)
         assert len(_GRID_CACHE) <= _GRID_CACHE_MAX
+
+    def test_cached_grid_is_read_only(self):
+        # Every call shares the cached x axis, powers and moments, so a
+        # stray in-place write would corrupt later fits: it must raise.
+        from repro.dsp.detrend import _fit_grid
+
+        x, powers, full_moments = _fit_grid(257, 2)
+        for shared in (x, powers, full_moments):
+            assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.5
+        with pytest.raises(ValueError):
+            powers[1] *= 2.0
+        with pytest.raises(ValueError):
+            np.add(full_moments, 1.0, out=full_moments)
+        assert x[0] == -1.0 and full_moments[0] == 257.0
