@@ -17,7 +17,7 @@ import pytest
 from benchmarks._harness import print_table
 from repro.dsp.recording import CsvRecordingModel, compression_ratio
 from repro.physics.noise import NoiseModel
-from repro.physics.peaks import PulseEvent, synthesize_pulse_train
+from repro.physics.peaks import PulseTrain, synthesize_pulse_train
 
 FS = 450.0
 N_CHANNELS = 8  # the §VI-D eight-carrier configuration
@@ -27,12 +27,11 @@ FULL_RUN_S = 3 * 3600.0
 
 def measure_slice():
     rng = np.random.default_rng(0)
-    events = [
-        PulseEvent(
-            center_s=c, width_s=0.02, amplitudes=np.full(N_CHANNELS, 0.01)
-        )
-        for c in np.arange(2.0, SLICE_S - 2.0, 1.0)
-    ]
+    events = PulseTrain(
+        center_s=np.arange(2.0, SLICE_S - 2.0, 1.0),
+        width_s=0.02,
+        amplitudes=np.full(N_CHANNELS, 0.01),
+    )
     trace = synthesize_pulse_train(events, N_CHANNELS, FS, SLICE_S)
     trace = NoiseModel().apply(trace, FS, rng=rng)
     model = CsvRecordingModel()

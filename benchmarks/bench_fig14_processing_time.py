@@ -30,7 +30,6 @@ from repro.mobile.perf import (
     NEXUS5,
 )
 from repro.physics.noise import NoiseModel
-from repro.physics.peaks import PulseEvent, synthesize_pulse_train
 
 FS = 450.0
 

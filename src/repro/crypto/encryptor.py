@@ -17,12 +17,17 @@ epoch key into that configuration:
 The flow must be planned *before* transport is simulated (the fluid
 physically moves at the keyed speed), so the pipeline is:
 ``plan_flow`` -> transport schedules arrivals -> ``events_for_arrivals``.
+
+The output is one columnar :class:`~repro.physics.peaks.PulseTrain`
+built in one walk over the arrivals: each epoch's :func:`key_layout` is
+built once; each particle's measured drop is computed once and times
+each gap's gain (exactly the per-electrode product); centres
+``t + gap / v`` are one array operation; a stable argsort on the centre
+keeps a stable list sort's tie order.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Sequence, Tuple
 
 from repro._util.errors import ConfigurationError
 from repro.crypto.gains import GainTable
@@ -33,7 +38,7 @@ from repro.microfluidics.flow import FlowController, FlowSpeedTable
 from repro.microfluidics.transport import ParticleArrival
 from repro.obs import NULL_OBSERVER
 from repro.physics.electrical import ElectrodePairCircuit
-from repro.physics.peaks import PulseEvent
+from repro.physics.peaks import GapLayout, PulseTrain, gap_layout
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,15 @@ class EncryptionPlan:
     def multiplication_factor_at(self, time_s: float) -> int:
         """m(E) of the epoch active at ``time_s``."""
         return self.array.multiplication_factor(self.schedule.key_at(time_s).active_electrodes)
+
+
+def key_layout(key: EpochKey, array: ElectrodeArray, gain_table: GainTable) -> GapLayout:
+    """Where a particle keyed by ``key`` dips: every gap of each active
+    electrode (ascending), at that electrode's keyed gain."""
+    return gap_layout(array, (
+        (e, gain_table.gain_for_level(key.gain_level_for(e)))
+        for e in sorted(key.active_electrodes)
+    ))
 
 
 @dataclass(frozen=True)
@@ -106,23 +120,29 @@ class SignalEncryptor:
         arrivals: Sequence[ParticleArrival],
         plan: EncryptionPlan,
         observer=NULL_OBSERVER,
-    ) -> List[PulseEvent]:
-        """Ciphertext pulse events for keyed particle arrivals.
+    ) -> PulseTrain:
+        """Ciphertext pulse train for keyed particle arrivals.
 
         The key applied to a particle is the one active at its arrival
         time; epoch durations are much longer than array transit times,
         so boundary straddling is negligible (the same approximation the
-        paper makes by renewing keys "every time unit").
+        paper makes by renewing keys "every time unit").  Each epoch's
+        gap layout (active electrodes ascending, their gaps, their
+        gains) is built once and shared by the particles it keys.
         """
-        carriers = np.asarray(self.carrier_frequencies_hz)
         with observer.span("encrypt", arrivals=len(arrivals)) as span:
-            events: List[PulseEvent] = []
-            for particle_index, arrival in enumerate(arrivals):
-                epoch = plan.schedule.key_at(arrival.time_s)
-                events.extend(
-                    self._events_for_particle(arrival, epoch, plan, carriers, particle_index)
-                )
-            events.sort(key=lambda event: event.center_s)
+            by_epoch: Dict[int, GapLayout] = {}
+            layouts = []
+            for arrival in arrivals:
+                index = plan.schedule.epoch_index_at(arrival.time_s)
+                if index not in by_epoch:
+                    by_epoch[index] = key_layout(
+                        plan.schedule.epochs[index], plan.array, plan.gain_table
+                    )
+                layouts.append(by_epoch[index])
+            events = PulseTrain.from_arrivals(
+                arrivals, layouts, plan.array, self.carrier_frequencies_hz, self.circuit
+            )
             span.set_attribute("pulse_events", len(events))
         observer.incr("encrypt.arrivals", len(arrivals))
         observer.incr("encrypt.pulse_events", len(events))
@@ -132,7 +152,7 @@ class SignalEncryptor:
         self,
         arrivals: Sequence[ParticleArrival],
         array: ElectrodeArray,
-    ) -> List[PulseEvent]:
+    ) -> PulseTrain:
         """Unencrypted acquisition: lead electrode only, unit gain.
 
         §V uses this mode to let the server read a cyto-coded identifier
@@ -140,54 +160,7 @@ class SignalEncryptor:
         the server-side can recognize the actual number and types of the
         submitted beads").
         """
-        carriers = np.asarray(self.carrier_frequencies_hz)
-        events: List[PulseEvent] = []
-        lead = array.lead_electrode
-        for particle_index, arrival in enumerate(arrivals):
-            width_s = array.dip_fwhm_s(arrival.velocity_m_s)
-            amplitudes = self._dip_amplitudes(arrival, carriers, gain=1.0)
-            for gap_m in array.gap_positions_m(lead):
-                events.append(
-                    PulseEvent(
-                        center_s=arrival.time_s + gap_m / arrival.velocity_m_s,
-                        width_s=width_s,
-                        amplitudes=amplitudes,
-                        electrode_index=lead,
-                        particle_index=particle_index,
-                    )
-                )
-        events.sort(key=lambda event: event.center_s)
-        return events
-
-    # ------------------------------------------------------------------
-    def _events_for_particle(
-        self,
-        arrival: ParticleArrival,
-        epoch: EpochKey,
-        plan: EncryptionPlan,
-        carriers: np.ndarray,
-        particle_index: int,
-    ) -> List[PulseEvent]:
-        width_s = plan.array.dip_fwhm_s(arrival.velocity_m_s)
-        events = []
-        for electrode in sorted(epoch.active_electrodes):
-            gain = plan.gain_table.gain_for_level(epoch.gain_level_for(electrode))
-            amplitudes = self._dip_amplitudes(arrival, carriers, gain=gain)
-            for gap_m in plan.array.gap_positions_m(electrode):
-                events.append(
-                    PulseEvent(
-                        center_s=arrival.time_s + gap_m / arrival.velocity_m_s,
-                        width_s=width_s,
-                        amplitudes=amplitudes,
-                        electrode_index=electrode,
-                        particle_index=particle_index,
-                    )
-                )
-        return events
-
-    def _dip_amplitudes(
-        self, arrival: ParticleArrival, carriers: np.ndarray, gain: float
-    ) -> np.ndarray:
-        drops = arrival.particle.relative_drop(carriers)
-        measured = self.circuit.measured_drop(carriers, drops)
-        return gain * np.asarray(measured, dtype=float)
+        lead = gap_layout(array, [(array.lead_electrode, 1.0)])
+        return PulseTrain.from_arrivals(
+            arrivals, [lead] * len(arrivals), array, self.carrier_frequencies_hz, self.circuit
+        )

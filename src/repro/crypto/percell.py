@@ -26,6 +26,7 @@ import numpy as np
 
 from repro._util.errors import ConfigurationError
 from repro.crypto.decryptor import DecryptedParticle, DecryptionResult
+from repro.crypto.encryptor import key_layout
 from repro.crypto.gains import GainTable
 from repro.crypto.key import EpochKey, eq2_bits_per_unit
 from repro.crypto.keygen import EntropySource, KeyGenerator
@@ -35,7 +36,7 @@ from repro.microfluidics.channel import MicrofluidicChannel
 from repro.microfluidics.flow import NOMINAL_FLOW_RATE_UL_MIN, FlowSpeedTable
 from repro.microfluidics.transport import ParticleArrival
 from repro.physics.electrical import ElectrodePairCircuit
-from repro.physics.peaks import PulseEvent
+from repro.physics.peaks import PulseTrain
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,8 @@ class PerCellEncryptor:
 
     def events_for_arrivals(
         self, arrivals: Sequence[ParticleArrival], plan: PerCellPlan
-    ) -> List[PulseEvent]:
-        """Keyed pulse events; raises if more particles than keys.
+    ) -> PulseTrain:
+        """Keyed pulse train; raises if more particles than keys.
 
         This *is* the deployability problem the paper names: the sensor
         must know how many cells will pass, and in what order.
@@ -116,29 +117,14 @@ class PerCellEncryptor:
             raise ConfigurationError(
                 f"{len(arrivals)} particles but only {plan.n_keys} per-cell keys"
             )
-        carriers = np.asarray(self.carrier_frequencies_hz)
-        events: List[PulseEvent] = []
-        for index, arrival in enumerate(sorted(arrivals, key=lambda a: a.time_s)):
-            key = plan.keys[index]
-            width_s = plan.array.dip_fwhm_s(arrival.velocity_m_s)
-            for electrode in sorted(key.active_electrodes):
-                gain = plan.gain_table.gain_for_level(key.gain_level_for(electrode))
-                drops = arrival.particle.relative_drop(carriers)
-                amplitudes = gain * np.asarray(
-                    self.circuit.measured_drop(carriers, drops), dtype=float
-                )
-                for gap_m in plan.array.gap_positions_m(electrode):
-                    events.append(
-                        PulseEvent(
-                            center_s=arrival.time_s + gap_m / arrival.velocity_m_s,
-                            width_s=width_s,
-                            amplitudes=amplitudes,
-                            electrode_index=electrode,
-                            particle_index=index,
-                        )
-                    )
-        events.sort(key=lambda event: event.center_s)
-        return events
+        arrivals = sorted(arrivals, key=lambda a: a.time_s)
+        return PulseTrain.from_arrivals(
+            arrivals,
+            [key_layout(key, plan.array, plan.gain_table) for key in plan.keys[: len(arrivals)]],
+            plan.array,
+            self.carrier_frequencies_hz,
+            self.circuit,
+        )
 
 
 @dataclass(frozen=True)

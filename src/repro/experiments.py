@@ -13,7 +13,7 @@ notebooks all run the *same* experiment definitions:
   peak density at an exact sample count (Figure 14 timing workloads).
 """
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.particles.sample import Particle, Sample
 from repro.particles.types import ParticleType
 from repro.physics.lockin import LockInAmplifier
 from repro.physics.noise import NoiseModel
-from repro.physics.peaks import PulseEvent
+from repro.physics.peaks import PulseTrain, synthesize_pulse_train
 
 #: Carrier set used by the figure experiments (includes the 500/2500 kHz
 #: feature carriers of Figures 15/16).
@@ -61,7 +61,7 @@ def acquire_particle_events(
     rng: RngLike = 0,
     carriers: Tuple[float, ...] = FIGURE_CARRIERS_HZ,
     noise: Optional[NoiseModel] = None,
-) -> Tuple[List[PulseEvent], AcquiredTrace, PeakReport]:
+) -> Tuple[PulseTrain, AcquiredTrace, PeakReport]:
     """Run fixed arrivals through the encrypt-acquire-detect chain."""
     channel = MicrofluidicChannel()
     velocity = channel.velocity_for_flow_rate(
@@ -116,14 +116,9 @@ def make_fig14_capture(
 ) -> np.ndarray:
     """A single-channel capture with realistic peak density, exactly
     ``n_samples`` long (the Figure 14 timing workload)."""
-    from repro.physics.peaks import synthesize_pulse_train
-
     duration = n_samples / sampling_rate_hz
     rng = np.random.default_rng(seed)
     centers = np.sort(rng.uniform(1.0, duration - 1.0, size=max(int(duration / 2), 1)))
-    events = [
-        PulseEvent(center_s=c, width_s=0.02, amplitudes=np.array([0.01]))
-        for c in centers
-    ]
+    events = PulseTrain(centers, 0.02, [0.01])
     trace = synthesize_pulse_train(events, 1, sampling_rate_hz, duration)
     return NoiseModel().apply(trace, sampling_rate_hz, rng=rng)[:, :n_samples]

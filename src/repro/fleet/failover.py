@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro._util.drill import DrillReport, InvariantResult, canonical_digest
+from repro._util.errors import MedSenError
 from repro._util.rng import ensure_rng
 from repro.fleet.campaign import _reference_outcomes, _submit_round
 from repro.fleet.frontdoor import AsyncFrontDoor, FleetRequestFailedError
@@ -48,6 +49,32 @@ DRILL_SECRET = b"medsen-failover-drill-secret"
 
 #: Scheduling slack allowed on top of the lease TTL when bounding MTTR.
 MTTR_SLACK_S = 5.0
+
+#: Deadline for a drill phase waiting on a request to reach a shard.
+INFLIGHT_WAIT_S = 30.0
+
+
+class DrillWaitTimeoutError(MedSenError):
+    """A drill phase waited past its deadline for the fleet to act."""
+
+
+async def _wait_inflight(handle) -> None:
+    """Return once ``handle`` has a request on its pipe.
+
+    The drill's kill and fence phases must act on a shard while a
+    session is queued on it; a fixed sleep loses that race on a loaded
+    host.  A request counts from the moment the front door has written
+    its frame (``ShardHandle.request`` sends under the lock that
+    ``inflight`` reads).
+    """
+    loop = asyncio.get_running_loop()
+    give_up = loop.time() + INFLIGHT_WAIT_S
+    while handle.inflight < 1:
+        if loop.time() > give_up:
+            raise DrillWaitTimeoutError(
+                f"no request reached shard {handle.shard_id} within {INFLIGHT_WAIT_S:.0f} s"
+            )
+        await asyncio.sleep(0.001)
 
 
 @dataclass
@@ -226,7 +253,7 @@ async def _drill(
         for sequence in second_half
         for tenant in tenants
     ]
-    await asyncio.sleep(0.02)  # let the round land in flight
+    await _wait_inflight(cluster._handles[doomed])
     await loop.run_in_executor(None, cluster.kill, doomed)
     results = await asyncio.gather(*round_two_tasks, return_exceptions=True)
     for key, result in zip(keys, results):
@@ -329,9 +356,14 @@ async def _drill(
     # SIGSTOP the primary (unreachable, not dead), let a request queue
     # on it, promote the standby, then SIGCONT: the old primary answers
     # with a superseded epoch and the front door must refuse it and
-    # re-run on the promoted primary — acked exactly once.
+    # re-run on the promoted primary — acked exactly once.  The drill
+    # saw the partition at ``fence_epoch``, so the promotion waits out
+    # a lease that is still live (the kill phase's promotion may have
+    # granted it less than a TTL ago) instead of declining to promote a
+    # live, leased primary.
     fence_tenant = by_partition[fence_partition][0]
     stale = cluster._handles[cluster.primary_id(fence_partition)]
+    fence_epoch = cluster.partition_epoch(fence_partition)
     fenced_before = door.fenced
     os.kill(stale.process.pid, signal.SIGSTOP)
     try:
@@ -344,8 +376,10 @@ async def _drill(
                 duration_s=workload.duration_s,
             )
         )
-        await asyncio.sleep(0.05)  # the request is queued on the pipe
-        await loop.run_in_executor(None, cluster.fail_over, fence_partition)
+        await _wait_inflight(stale)
+        await loop.run_in_executor(
+            None, cluster.fail_over, fence_partition, fence_epoch
+        )
     finally:
         os.kill(stale.process.pid, signal.SIGCONT)
     fence_outcome = await fence_task

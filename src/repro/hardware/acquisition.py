@@ -1,4 +1,4 @@
-"""Acquisition front-end: pulse events -> recorded voltage trace.
+"""Acquisition front-end: pulse train -> recorded voltage trace.
 
 Chains the physics substrate: synthesize the fractional dip signal at
 the lock-in's internal oversampled rate, apply baseline drift and
@@ -7,7 +7,7 @@ measurement noise, then demodulate/filter/decimate to the recorded
 """
 
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from repro._util.rng import RngLike, ensure_rng
 from repro._util.validation import check_positive
 from repro.physics.lockin import LockInAmplifier
 from repro.physics.noise import NoiseModel
-from repro.physics.peaks import PulseEvent, synthesize_pulse_train
+from repro.physics.peaks import PulseTrain, synthesize_pulse_train
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,14 @@ class AcquiredTrace:
 
 @dataclass(frozen=True)
 class AcquisitionFrontEnd:
-    """Renders pulse events through noise and the lock-in chain."""
+    """Renders a pulse train through noise and the lock-in chain."""
 
     lockin: LockInAmplifier = field(default_factory=LockInAmplifier)
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def acquire(
         self,
-        events: Sequence[PulseEvent],
+        events: PulseTrain,
         duration_s: float,
         rng: RngLike = None,
     ) -> AcquiredTrace:

@@ -37,7 +37,7 @@ from repro.particles.library import BEAD_7P8
 from repro.particles.sample import Particle
 from repro.physics.electrical import ElectrodePairCircuit
 from repro.physics.lockin import LockInAmplifier
-from repro.physics.peaks import PulseEvent
+from repro.physics.peaks import PulseTrain, gap_layout
 
 
 class UnsafeHardwareError(MedSenError):
@@ -93,64 +93,40 @@ class FaultModel:
     # ------------------------------------------------------------------
     def apply_to_events(
         self,
-        events: Sequence[PulseEvent],
+        events: PulseTrain,
         array: ElectrodeArray,
         arrivals: Sequence[ParticleArrival] = (),
         circuit: ElectrodePairCircuit = None,
         carriers: Sequence[float] = (),
-    ) -> List[PulseEvent]:
-        """Transform a keyed event stream through the fault model.
+    ) -> PulseTrain:
+        """Transform a keyed pulse train through the fault model.
 
         Dead electrodes drop their events; weak electrodes attenuate
-        them; stuck-on electrodes add events for *every* arrival (the
-        extra dips a hard-wired input contributes).
+        them; stuck-on electrodes add unit-gain events for *every*
+        arrival that the key did not already route to them (the extra
+        dips a hard-wired input contributes).  The result is re-sorted
+        (stably) by centre, the added events after the kept ones.
         """
-        out: List[PulseEvent] = []
-        for event in events:
-            electrode = event.electrode_index
-            if electrode in self.dead_electrodes:
-                continue
-            if electrode in self.weak_electrodes:
-                out.append(
-                    PulseEvent(
-                        center_s=event.center_s,
-                        width_s=event.width_s,
-                        amplitudes=event.amplitudes * self.weak_attenuation,
-                        electrode_index=electrode,
-                        particle_index=event.particle_index,
-                    )
-                )
-            else:
-                out.append(event)
-
+        out = events[~np.isin(events.electrode_index, list(self.dead_electrodes))]
+        weak = np.isin(out.electrode_index, list(self.weak_electrodes))[:, None]
+        amplitudes = np.where(weak, out.amplitudes * self.weak_attenuation, out.amplitudes)
+        out = PulseTrain(
+            out.center_s, out.width_s, amplitudes, out.electrode_index, out.particle_index
+        )
         if self.stuck_on_electrodes and arrivals:
-            circuit = circuit or ElectrodePairCircuit()
-            carrier_array = np.asarray(list(carriers) or [500e3])
-            # Which (particle, electrode) pairs already have events?
-            covered = {
-                (event.particle_index, event.electrode_index) for event in events
-            }
-            for particle_index, arrival in enumerate(arrivals):
-                for electrode in sorted(self.stuck_on_electrodes):
-                    if (particle_index, electrode) in covered:
-                        continue
-                    drops = arrival.particle.relative_drop(carrier_array)
-                    amplitudes = np.asarray(
-                        circuit.measured_drop(carrier_array, drops), dtype=float
-                    )
-                    width_s = array.dip_fwhm_s(arrival.velocity_m_s)
-                    for gap_m in array.gap_positions_m(electrode):
-                        out.append(
-                            PulseEvent(
-                                center_s=arrival.time_s + gap_m / arrival.velocity_m_s,
-                                width_s=width_s,
-                                amplitudes=amplitudes,
-                                electrode_index=electrode,
-                                particle_index=particle_index,
-                            )
-                        )
-        out.sort(key=lambda event: event.center_s)
-        return out
+            covered = set(zip(events.particle_index.tolist(), events.electrode_index.tolist()))
+            stuck = sorted(self.stuck_on_electrodes)
+            layouts = [
+                gap_layout(array, [(e, 1.0) for e in stuck if (i, e) not in covered])
+                for i in range(len(arrivals))
+            ]
+            added = PulseTrain.from_arrivals(
+                arrivals, layouts, array, list(carriers) or [500e3],
+                circuit or ElectrodePairCircuit(),
+            )
+            if len(added):
+                out = PulseTrain.concatenate([out, added])
+        return out[np.argsort(out.center_s, kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -260,23 +236,10 @@ def self_test(
 
     for electrode in array.electrode_numbers:
         expected_per_bead = array.dips_per_particle(electrode)
-        events = []
-        width_s = array.dip_fwhm_s(velocity)
-        for particle_index, arrival in enumerate(arrivals):
-            drops = arrival.particle.relative_drop(np.asarray(carriers))
-            amplitudes = np.asarray(
-                circuit.measured_drop(np.asarray(carriers), drops), dtype=float
-            )
-            for gap_m in array.gap_positions_m(electrode):
-                events.append(
-                    PulseEvent(
-                        center_s=arrival.time_s + gap_m / arrival.velocity_m_s,
-                        width_s=width_s,
-                        amplitudes=amplitudes,
-                        electrode_index=electrode,
-                        particle_index=particle_index,
-                    )
-                )
+        events = PulseTrain.from_arrivals(
+            arrivals, [gap_layout(array, [(electrode, 1.0)])] * n_test_beads,
+            array, carriers, circuit,
+        )
         faulted = fault_model.apply_to_events(
             events, array, arrivals=arrivals, circuit=circuit, carriers=carriers
         )

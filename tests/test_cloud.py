@@ -3,7 +3,6 @@
 import threading
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro._util.errors import ConfigurationError
@@ -12,14 +11,11 @@ from repro.cloud.server import AnalysisServer
 from repro.cloud.storage import RecordCorrupted, RecordStore
 from repro.dsp.peakdetect import PeakReport
 from repro.hardware.acquisition import AcquiredTrace
-from repro.physics.peaks import PulseEvent, synthesize_pulse_train
+from repro.physics.peaks import PulseTrain, synthesize_pulse_train
 
 
 def make_trace(centers=(5.0, 10.0), duration=20.0):
-    events = [
-        PulseEvent(center_s=c, width_s=0.02, amplitudes=np.array([0.01]))
-        for c in centers
-    ]
+    events = PulseTrain(center_s=centers, width_s=0.02, amplitudes=[0.01])
     voltages = synthesize_pulse_train(events, 1, 450.0, duration)
     return AcquiredTrace(
         voltages=voltages, sampling_rate_hz=450.0, carrier_frequencies_hz=(500e3,)

@@ -13,7 +13,7 @@ from repro.dsp.detrend import (
     piecewise_polynomial_detrend,
     residual_drift,
 )
-from repro.physics.peaks import PulseEvent, synthesize_pulse_train
+from repro.physics.peaks import PulseTrain, synthesize_pulse_train
 
 
 def drifting_signal(n=45000, fs=450.0, seed=0):
@@ -21,10 +21,7 @@ def drifting_signal(n=45000, fs=450.0, seed=0):
     rng = np.random.default_rng(seed)
     t = np.arange(n) / fs
     baseline = 1.0 + 0.002 * t / t[-1] + 0.001 * np.sin(2 * np.pi * t / 40.0)
-    events = [
-        PulseEvent(center_s=c, width_s=0.02, amplitudes=np.array([0.01]))
-        for c in np.linspace(5, t[-1] - 5, 12)
-    ]
+    events = PulseTrain(center_s=np.linspace(5, t[-1] - 5, 12), width_s=0.02, amplitudes=[0.01])
     dips = synthesize_pulse_train(events, 1, fs, n / fs)[0]
     return baseline * dips + rng.normal(0, 1e-4, n), events
 
@@ -60,10 +57,9 @@ class TestPiecewiseDetrend:
         # A compound dip must not drag the baseline down (the robust
         # refit exists for this).
         fs = 450.0
-        events = [
-            PulseEvent(center_s=1.0 + i * 0.022, width_s=0.01, amplitudes=np.array([0.014]))
-            for i in range(17)
-        ]
+        events = PulseTrain(
+            center_s=[1.0 + i * 0.022 for i in range(17)], width_s=0.01, amplitudes=[0.014]
+        )
         signal = synthesize_pulse_train(events, 1, fs, 5.0)[0]
         detrended = piecewise_polynomial_detrend(signal, fs)
         # No phantom dips outside the true event window.
@@ -105,10 +101,9 @@ class TestGlobalDetrendAblation:
         # least-squares fit (robust=False); a dense cluster of dips
         # drags a high-order polynomial into the signal.
         fs = 450.0
-        events = [
-            PulseEvent(center_s=5.0 + i * 0.05, width_s=0.02, amplitudes=np.array([0.012]))
-            for i in range(30)
-        ]
+        events = PulseTrain(
+            center_s=[5.0 + i * 0.05 for i in range(30)], width_s=0.02, amplitudes=[0.012]
+        )
         signal = synthesize_pulse_train(events, 1, fs, 50.0)[0]
         high = global_polynomial_detrend(signal, 40, robust=False)
         piecewise = piecewise_polynomial_detrend(signal, fs)

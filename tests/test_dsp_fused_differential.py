@@ -19,7 +19,7 @@ from repro.dsp import PeakDetector, fused_detect
 from repro.experiments import acquire_particle_events, single_key_plan
 from repro.particles import BEAD_3P58, BEAD_7P8, BLOOD_CELL
 from repro.physics.noise import BaselineDriftModel, NoiseModel
-from repro.physics.peaks import PulseEvent, synthesize_pulse_train
+from repro.physics.peaks import PulseTrain, synthesize_pulse_train
 
 from tests._dsp_oracle import assert_reports_identical, staged_detect
 
@@ -35,16 +35,14 @@ def synthetic_trace(
     drift=None,
     seed=0,
 ):
-    events = [
-        PulseEvent(
-            center_s=center,
-            width_s=width,
-            amplitudes=np.asarray(
-                [depth * (1.0 - 0.3 * c / max(n_channels - 1, 1)) for c in range(n_channels)]
-            ),
-        )
-        for center, depth in zip(centers, depths)
-    ]
+    events = PulseTrain(
+        center_s=centers,
+        width_s=width,
+        amplitudes=[
+            [depth * (1.0 - 0.3 * c / max(n_channels - 1, 1)) for c in range(n_channels)]
+            for depth in depths
+        ],
+    )
     trace = synthesize_pulse_train(events, n_channels, fs, duration)
     if noise_sigma:
         kwargs = {"drift": drift} if drift is not None else {}

@@ -6,15 +6,14 @@ import pytest
 from repro._util.errors import ValidationError
 from repro.dsp.peakdetect import DetectedPeak, PeakDetector, PeakReport
 from repro.physics.noise import BaselineDriftModel, NoiseModel
-from repro.physics.peaks import PulseEvent, synthesize_pulse_train
+from repro.physics.peaks import PulseTrain, synthesize_pulse_train
 
 
 def make_trace(centers, fs=450.0, duration=30.0, depth=0.01, width=0.02, n_channels=2,
                noise=True, seed=0):
-    events = [
-        PulseEvent(center_s=c, width_s=width, amplitudes=np.array([depth, depth / 2][:n_channels]))
-        for c in centers
-    ]
+    events = PulseTrain(
+        center_s=centers, width_s=width, amplitudes=[depth, depth / 2][:n_channels]
+    )
     trace = synthesize_pulse_train(events, n_channels, fs, duration)
     if noise:
         model = NoiseModel(white_sigma=1e-4)
@@ -65,10 +64,7 @@ class TestDetection:
 
     def test_detection_through_drift(self):
         centers = np.arange(2.0, 55.0, 5.0)
-        events = [
-            PulseEvent(center_s=c, width_s=0.02, amplitudes=np.array([0.01]))
-            for c in centers
-        ]
+        events = PulseTrain(center_s=centers, width_s=0.02, amplitudes=[0.01])
         trace = synthesize_pulse_train(events, 1, 450.0, 60.0)
         model = NoiseModel(
             white_sigma=1e-4,

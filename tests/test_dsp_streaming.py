@@ -12,7 +12,7 @@ from repro._util.errors import ConfigurationError, ValidationError
 from repro.dsp.peakdetect import PeakDetector
 from repro.dsp.windowed import WindowedPeakDetector
 from repro.physics.noise import NoiseModel
-from repro.physics.peaks import PulseEvent, synthesize_pulse_train
+from repro.physics.peaks import PulseTrain, synthesize_pulse_train
 from repro.stream import report_digest
 
 FS = 450.0
@@ -20,10 +20,7 @@ FS = 450.0
 
 def make_trace(duration_s=120.0, spacing_s=2.0, seed=0):
     centers = np.arange(1.0, duration_s - 1.0, spacing_s)
-    events = [
-        PulseEvent(center_s=c, width_s=0.02, amplitudes=np.array([0.01]))
-        for c in centers
-    ]
+    events = PulseTrain(center_s=centers, width_s=0.02, amplitudes=[0.01])
     trace = synthesize_pulse_train(events, 1, FS, duration_s)
     return NoiseModel(white_sigma=1e-4).apply(trace, FS, rng=seed), len(centers)
 

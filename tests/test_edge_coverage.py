@@ -11,7 +11,7 @@ from repro.dsp.peakdetect import PeakDetector
 from repro.hardware.electrodes import ElectrodeArray, standard_array
 from repro.microfluidics.flow import FlowController, FlowSpeedTable
 from repro.physics.lockin import LockInAmplifier
-from repro.physics.peaks import PulseEvent, synthesize_pulse_train
+from repro.physics.peaks import PulseTrain, synthesize_pulse_train
 
 
 class TestSingleOutputArray:
@@ -34,13 +34,11 @@ class TestSingleOutputArray:
 
 class TestDetectorOptions:
     def make_trace(self, n_channels=3):
-        events = [
-            PulseEvent(
-                center_s=5.0,
-                width_s=0.02,
-                amplitudes=np.array([0.002, 0.01, 0.004][:n_channels]),
-            )
-        ]
+        events = PulseTrain(
+            center_s=5.0,
+            width_s=0.02,
+            amplitudes=[0.002, 0.01, 0.004][:n_channels],
+        )
         return synthesize_pulse_train(events, n_channels, 450.0, 10.0)
 
     def test_alternate_detection_channel(self):
@@ -105,8 +103,8 @@ class TestEncryptorEdge:
             FlowSpeedTable(),
         )
         encryptor = SignalEncryptor(carrier_frequencies_hz=(500e3,))
-        assert encryptor.events_for_arrivals([], plan) == []
-        assert encryptor.plaintext_events([], array9) == []
+        assert len(encryptor.events_for_arrivals([], plan)) == 0
+        assert len(encryptor.plaintext_events([], array9)) == 0
 
     def test_empty_carriers_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -57,3 +57,28 @@ class TestFailoverDrill:
         assert drill.digest == "1608af42bd46f1379d5fc395", (
             f"failover drill digest moved: {drill.digest}"
         )
+
+
+def test_fence_waits_out_a_live_lease():
+    """With a 2 s lease the fence phase starts while the kill phase's
+    promotion still holds its lease: the fencing promotion must wait
+    the lease out, not decline to promote a live, leased primary."""
+    drill = run_failover(seed=0, n_partitions=2, smoke=True, lease_ttl_s=2.0)
+    assert drill.passed, drill.format()
+    assert drill.n_failovers == 2 and drill.n_fenced >= 1
+    assert drill.digest == "1608af42bd46f1379d5fc395"
+
+
+def test_inflight_wait_has_a_typed_deadline(monkeypatch):
+    """A drill phase whose request never reaches the shard fails typed,
+    not by hanging."""
+    import asyncio
+    from types import SimpleNamespace
+
+    from repro.fleet import failover
+
+    monkeypatch.setattr(failover, "INFLIGHT_WAIT_S", 0.02)
+    idle = SimpleNamespace(inflight=0, shard_id="part-00-a")
+    with pytest.raises(failover.DrillWaitTimeoutError, match="part-00-a"):
+        asyncio.run(failover._wait_inflight(idle))
+    asyncio.run(failover._wait_inflight(SimpleNamespace(inflight=1, shard_id="x")))

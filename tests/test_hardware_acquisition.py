@@ -7,7 +7,7 @@ from repro._util.errors import ValidationError
 from repro.hardware.acquisition import AcquiredTrace, AcquisitionFrontEnd
 from repro.physics.lockin import LockInAmplifier
 from repro.physics.noise import QUIET
-from repro.physics.peaks import PulseEvent
+from repro.physics.peaks import PulseTrain
 
 
 @pytest.fixture
@@ -16,7 +16,7 @@ def front_end(small_lockin, quiet_noise):
 
 
 def one_event(depth=0.01):
-    return PulseEvent(center_s=1.0, width_s=0.02, amplitudes=np.array([depth, depth / 2]))
+    return PulseTrain(center_s=1.0, width_s=0.02, amplitudes=[depth, depth / 2])
 
 
 class TestAcquiredTrace:
@@ -49,13 +49,13 @@ class TestAcquiredTrace:
 
 class TestAcquire:
     def test_trace_shape_and_rate(self, front_end):
-        trace = front_end.acquire([one_event()], 2.0, rng=0)
+        trace = front_end.acquire(one_event(), 2.0, rng=0)
         assert trace.n_channels == 2
         assert trace.sampling_rate_hz == 450.0
         assert trace.duration_s == pytest.approx(2.0, abs=0.01)
 
     def test_quiet_acquisition_preserves_depths(self, front_end):
-        trace = front_end.acquire([one_event(0.01)], 2.0, rng=0)
+        trace = front_end.acquire(one_event(0.01), 2.0, rng=0)
         depth0 = 1.0 - trace.voltages[0].min()
         depth1 = 1.0 - trace.voltages[1].min()
         assert depth0 == pytest.approx(0.01, rel=0.05)
@@ -63,19 +63,19 @@ class TestAcquire:
 
     def test_noise_applied(self, small_lockin):
         noisy_front_end = AcquisitionFrontEnd(lockin=small_lockin)
-        trace = noisy_front_end.acquire([], 2.0, rng=0)
+        trace = noisy_front_end.acquire(PulseTrain.empty(2), 2.0, rng=0)
         assert np.std(trace.voltages[0]) > 0
 
     def test_deterministic_with_seed(self, small_lockin):
         front_end = AcquisitionFrontEnd(lockin=small_lockin)
-        a = front_end.acquire([one_event()], 1.0, rng=9)
-        b = front_end.acquire([one_event()], 1.0, rng=9)
+        a = front_end.acquire(one_event(), 1.0, rng=9)
+        b = front_end.acquire(one_event(), 1.0, rng=9)
         assert np.allclose(a.voltages, b.voltages)
 
     def test_empty_events_flat_baseline(self, front_end):
-        trace = front_end.acquire([], 1.0, rng=0)
+        trace = front_end.acquire(PulseTrain.empty(2), 1.0, rng=0)
         assert np.allclose(trace.voltages, 1.0, atol=1e-9)
 
     def test_invalid_duration_rejected(self, front_end):
         with pytest.raises(Exception):
-            front_end.acquire([], 0.0)
+            front_end.acquire(PulseTrain.empty(2), 0.0)

@@ -1,6 +1,5 @@
 """Smartphone side: perf models and relay app."""
 
-import numpy as np
 import pytest
 
 from repro.cloud.server import AnalysisServer
@@ -14,7 +13,7 @@ from repro.mobile.perf import (
     DevicePerfModel,
 )
 from repro.mobile.phone import Smartphone
-from repro.physics.peaks import PulseEvent, synthesize_pulse_train
+from repro.physics.peaks import PulseTrain, synthesize_pulse_train
 
 
 class TestPerfModels:
@@ -53,10 +52,9 @@ class TestPerfModels:
 
 
 def make_trace(duration=10.0, n_peaks=3):
-    events = [
-        PulseEvent(center_s=1.0 + i * 2.0, width_s=0.02, amplitudes=np.array([0.01]))
-        for i in range(n_peaks)
-    ]
+    events = PulseTrain(
+        center_s=[1.0 + i * 2.0 for i in range(n_peaks)], width_s=0.02, amplitudes=[0.01]
+    )
     voltages = synthesize_pulse_train(events, 1, 450.0, duration)
     return AcquiredTrace(voltages, 450.0, (500e3,))
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro._util.errors import ValidationError
 from repro.physics.lockin import DEFAULT_CARRIERS_HZ, LockInAmplifier
-from repro.physics.peaks import PulseEvent, synthesize_pulse_train
+from repro.physics.peaks import PulseTrain, synthesize_pulse_train
 
 
 class TestConfiguration:
@@ -60,8 +60,8 @@ class TestDemodulation:
         assert np.allclose(out, 2.0, atol=1e-9)
 
     def test_dip_survives_filter(self, small_lockin):
-        event = PulseEvent(center_s=1.0, width_s=0.02, amplitudes=np.array([0.01, 0.01]))
-        trace = synthesize_pulse_train([event], 2, small_lockin.internal_rate_hz, 2.0)
+        event = PulseTrain(center_s=1.0, width_s=0.02, amplitudes=[0.01, 0.01])
+        trace = synthesize_pulse_train(event, 2, small_lockin.internal_rate_hz, 2.0)
         out = small_lockin.demodulate(trace)
         depth = 1.0 - out[0].min()
         assert depth == pytest.approx(0.01, rel=0.05)

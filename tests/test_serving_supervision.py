@@ -1,6 +1,5 @@
 """Worker supervision, poison quarantine, and idempotent server ingest."""
 
-import numpy as np
 import pytest
 
 from repro.cloud.server import AnalysisServer
@@ -13,7 +12,7 @@ from repro.obs import (
     MetricsRegistry,
     Observer,
 )
-from repro.physics.peaks import PulseEvent, synthesize_pulse_train
+from repro.physics.peaks import PulseTrain, synthesize_pulse_train
 from repro.serving import (
     ClinicWorkload,
     FleetConfig,
@@ -27,10 +26,7 @@ WORKLOAD = ClinicWorkload(n_tenants=2, requests_per_tenant=2, duration_s=6.0, se
 
 
 def make_trace(centers=(5.0, 10.0), duration=20.0):
-    events = [
-        PulseEvent(center_s=c, width_s=0.02, amplitudes=np.array([0.01]))
-        for c in centers
-    ]
+    events = PulseTrain(center_s=centers, width_s=0.02, amplitudes=[0.01])
     voltages = synthesize_pulse_train(events, 1, 450.0, duration)
     return AcquiredTrace(
         voltages=voltages, sampling_rate_hz=450.0, carrier_frequencies_hz=(500e3,)
