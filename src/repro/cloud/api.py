@@ -116,13 +116,10 @@ def _amplitude_list(amplitudes: np.ndarray) -> list:
     return [float(a) for a in amplitudes]
 
 
-def report_to_dict(report: PeakReport) -> Dict:
-    """Ciphertext peak report as a JSON-safe dict."""
-    return {
-        "duration_s": report.duration_s,
-        "sampling_rate_hz": report.sampling_rate_hz,
-        "detection_channel": report.detection_channel,
-        "peaks": [
+def _peak_dicts(report: PeakReport) -> list:
+    columns = report.columns
+    if columns is None:
+        return [
             {
                 "time_s": peak.time_s,
                 "depth": peak.depth,
@@ -131,7 +128,34 @@ def report_to_dict(report: PeakReport) -> Dict:
                 "sample_index": peak.sample_index,
             }
             for peak in report.peaks
-        ],
+        ]
+    # The columns are float64/int64, so tolist() gives the floats and
+    # ints the rows would hold, and amplitude rows list flat.
+    return [
+        {
+            "time_s": time_s,
+            "depth": depth,
+            "width_s": width_s,
+            "amplitudes": amplitudes,
+            "sample_index": sample_index,
+        }
+        for time_s, depth, width_s, amplitudes, sample_index in zip(
+            columns.time_s.tolist(),
+            columns.depth.tolist(),
+            columns.width_s.tolist(),
+            columns.amplitudes.tolist(),
+            columns.sample_index.tolist(),
+        )
+    ]
+
+
+def report_to_dict(report: PeakReport) -> Dict:
+    """Ciphertext peak report as a JSON-safe dict."""
+    return {
+        "duration_s": report.duration_s,
+        "sampling_rate_hz": report.sampling_rate_hz,
+        "detection_channel": report.detection_channel,
+        "peaks": _peak_dicts(report),
     }
 
 

@@ -13,8 +13,8 @@ the authentication classifier consume.
 the differential-test oracle (``tests/_dsp_oracle.py``).
 """
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import FrozenInstanceError, dataclass
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +43,20 @@ class DetectedPeak:
         object.__setattr__(self, "amplitudes", amplitudes)
 
 
-@dataclass(frozen=True)
+class PeakColumns(NamedTuple):
+    """A report's peaks as parallel float64/int64 columns, in order.
+
+    ``amplitudes`` is ``(n_peaks, n_channels)``: row ``j`` is peak
+    ``j``'s :attr:`DetectedPeak.amplitudes`.
+    """
+
+    time_s: np.ndarray
+    depth: np.ndarray
+    width_s: np.ndarray
+    amplitudes: np.ndarray
+    sample_index: np.ndarray
+
+
 class PeakReport:
     """Everything the analysis side returns to the controller.
 
@@ -51,20 +64,83 @@ class PeakReport:
     encoded peak count, timestamps, depths, widths and channel
     amplitudes (paper §IV-A: "returns encoded peak count, with
     associated time-stamps, amplitudes and widths").
+
+    A report holds its peaks either as :class:`DetectedPeak` rows
+    (``PeakReport(peaks, ...)``) or as :class:`PeakColumns`
+    (:meth:`from_columns`, what the streaming detector emits).  A
+    column-backed report builds its rows only when :attr:`peaks` is
+    first read; :attr:`count`, :meth:`times` and
+    :func:`repro.cloud.api.report_to_dict` read the columns.  Either
+    form is immutable, and equality and hashing go through the rows.
     """
 
-    peaks: Tuple[DetectedPeak, ...]
-    duration_s: float
-    sampling_rate_hz: float
-    detection_channel: int
+    __slots__ = (
+        "_peaks",
+        "columns",
+        "duration_s",
+        "sampling_rate_hz",
+        "detection_channel",
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "peaks", tuple(self.peaks))
+    def __init__(
+        self,
+        peaks: Sequence[DetectedPeak],
+        duration_s: float,
+        sampling_rate_hz: float,
+        detection_channel: int,
+    ) -> None:
+        self._init(tuple(peaks), None, duration_s, sampling_rate_hz, detection_channel)
+
+    def _init(self, peaks, columns, duration_s, sampling_rate_hz, detection_channel):
+        set_field = object.__setattr__
+        set_field(self, "_peaks", peaks)
+        #: The :class:`PeakColumns` a column-backed report was built
+        #: from; ``None`` for a report built from rows.
+        set_field(self, "columns", columns)
+        set_field(self, "duration_s", duration_s)
+        set_field(self, "sampling_rate_hz", sampling_rate_hz)
+        set_field(self, "detection_channel", detection_channel)
+
+    @classmethod
+    def from_columns(
+        cls,
+        columns: PeakColumns,
+        duration_s: float,
+        sampling_rate_hz: float,
+        detection_channel: int,
+    ) -> "PeakReport":
+        """A report that stores ``columns`` and defers its rows."""
+        report = cls.__new__(cls)
+        report._init(None, columns, duration_s, sampling_rate_hz, detection_channel)
+        return report
+
+    @property
+    def peaks(self) -> Tuple[DetectedPeak, ...]:
+        """The peaks as :class:`DetectedPeak` rows, in order."""
+        if self._peaks is None:
+            c = self.columns
+            object.__setattr__(
+                self,
+                "_peaks",
+                tuple(
+                    map(
+                        DetectedPeak,
+                        c.time_s.tolist(),
+                        c.depth.tolist(),
+                        c.width_s.tolist(),
+                        c.amplitudes,
+                        c.sample_index.tolist(),
+                    )
+                ),
+            )
+        return self._peaks
 
     @property
     def count(self) -> int:
         """Encoded (ciphertext) peak count."""
-        return len(self.peaks)
+        if self.columns is not None:
+            return self.columns.sample_index.shape[0]
+        return len(self._peaks)
 
     def peaks_between(self, start_s: float, end_s: float) -> List[DetectedPeak]:
         """Peaks with ``start_s <= time < end_s`` (epoch slicing)."""
@@ -72,7 +148,40 @@ class PeakReport:
 
     def times(self) -> np.ndarray:
         """All peak timestamps as an array."""
-        return np.asarray([p.time_s for p in self.peaks])
+        if self.columns is not None:
+            return self.columns.time_s.copy()
+        return np.asarray([p.time_s for p in self._peaks])
+
+    # -- frozen-dataclass behaviour, kept for both forms ----------------
+    def _key(self) -> tuple:
+        return (self.peaks, self.duration_s, self.sampling_rate_hz, self.detection_channel)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"PeakReport(peaks={self.peaks!r}, duration_s={self.duration_s!r}, "
+            f"sampling_rate_hz={self.sampling_rate_hz!r}, "
+            f"detection_channel={self.detection_channel!r})"
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        fields = (self.duration_s, self.sampling_rate_hz, self.detection_channel)
+        if self.columns is not None:
+            return (PeakReport.from_columns, (self.columns,) + fields)
+        return (PeakReport, (self._peaks,) + fields)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,8 @@ module provides that, in three layers:
   walks the one-shot runs: one ``peak_prominences`` call for every
   newly selected and every still-open peak, one ``peak_widths`` call
   for the peaks that became final, and one clipped amplitude gather.
+  Peaks are arrays throughout, and ``finish`` returns a column-backed
+  :class:`~repro.dsp.peakdetect.PeakReport` (no per-peak objects).
 * :class:`WindowedPeakDetector` — the two glued together behind the
   chunk-facing ``feed``/``finish`` API the session layer uses.
 
@@ -54,10 +56,13 @@ A peak already selected whose right base is still open (no wall, and
 no right sample below its left minimum yet) is not protected by the
 cut.  Its crossing lies at or right of the last sample left of ``p`` at
 or below ``h - (h - lmin) * 0.5``; while the cut leaves that sample in
-the tail, the per-feed scipy walks measure it exactly.  A cut past that
-sample first moves the peak to records: its left walk as strictly
-descending minima ``(pos, value, next_value)``, and its right walk
-extended block by block the same way until it is final.
+the tail, the per-feed scipy walks measure it exactly.  So the cut
+stops at the last eligible column at or before that sample, as long as
+the tail it leaves stays within the trim margin.  Only a peak open
+longer than that is cut past: the cut first moves it to records, its
+left walk as strictly descending minima ``(pos, value, next_value)``,
+and its right walk extended block by block the same way until it is
+final.  The records are what bound memory on a peak that never closes.
 
 Known measure-zero caveat: scipy's distance selection breaks *exact*
 peak-height ties with an unstable global argsort; this implementation
@@ -79,7 +84,7 @@ from repro.dsp.detrend import (
     blend_window,
     piecewise_polynomial_detrend_rows,
 )
-from repro.dsp.peakdetect import DetectedPeak, PeakDetector, PeakReport
+from repro.dsp.peakdetect import PeakColumns, PeakDetector, PeakReport
 
 __all__ = [
     "StreamingDetrender",
@@ -278,13 +283,57 @@ class _MonotoneStack:
         return best, False
 
 
+class _Peaks:
+    """Selected peaks as parallel arrays.
+
+    ``i`` is each peak's index in selection order (which is position
+    order), ``p`` its absolute position, ``h`` its height and ``lmin``
+    its left base minimum (NaN until first measured).
+    """
+
+    __slots__ = ("i", "p", "h", "lmin")
+
+    def __init__(
+        self, i: np.ndarray, p: np.ndarray, h: np.ndarray, lmin: np.ndarray
+    ) -> None:
+        self.i, self.p, self.h, self.lmin = i, p, h, lmin
+
+    def __len__(self) -> int:
+        return self.i.shape[0]
+
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        return (self.i, self.p, self.h, self.lmin)
+
+    def take(self, mask: np.ndarray) -> "_Peaks":
+        return _Peaks(*(column[mask] for column in self.columns()))
+
+    def join(self, other: "_Peaks") -> "_Peaks":
+        return _Peaks(*map(np.concatenate, zip(self.columns(), other.columns())))
+
+
+_NO_POSITIONS = np.empty(0, dtype=np.intp)
+_NO_PEAKS = _Peaks(_NO_POSITIONS, _NO_POSITIONS, np.empty(0), np.empty(0))
+
+
+def _last_true(mask: np.ndarray) -> int:
+    """Index of the last True in a 1-D boolean array, or -1."""
+    if mask.shape[0] == 0:
+        return -1
+    k = mask.shape[0] - 1 - int(np.argmax(mask[::-1]))
+    return k if mask[k] else -1
+
+
 class ExactPeakStream:
     """Incremental exact peak extraction over finalized dip columns.
 
     Mirrors, operation for operation, what the one-shot measurement
     (:mod:`repro.dsp.fused`) computes with scipy on the full dips
     matrix.  ``feed`` accepts ``(n_channels, k)`` blocks of
-    finalized dips; ``finish`` returns the :class:`PeakReport`.
+    finalized dips; ``finish`` returns a column-backed
+    :class:`PeakReport`.  Peaks are arrays from selection on: the
+    positions and heights of every selected peak in selection order,
+    and each width and amplitude row as it is measured, scattered back
+    by selection index when ``finish`` emits the columns.
     """
 
     def __init__(
@@ -317,12 +366,20 @@ class ExactPeakStream:
         self._gmin = np.inf  # min over all finalized detection samples
         self._stack = _MonotoneStack()
         self._scan_i = 1  # next local-maxima scan position
-        self._pending: List[dict] = []  # open distance component
-        self._selected: List[dict] = []  # survivors not yet measured
-        self._open: List[dict] = []  # measured on the tail, right base open
+        # The open distance component: candidate positions and heights.
+        self._pending_p = _NO_POSITIONS
+        self._pending_h = np.empty(0)
+        self._open = _NO_PEAKS  # measured on the tail, right base open
         self._carried: List[dict] = []  # right base open, measured by records
-        self._amp_jobs: List[dict] = []  # survivors awaiting amplitude windows
-        self._complete: List[dict] = []  # fully measured peaks
+        self._amp_p = _NO_POSITIONS  # selected, awaiting amplitude windows
+        # Every selected peak in selection order, and its measurements.
+        self._n_selected = 0
+        self._n_amped = 0  # amplitudes go in selection order
+        self._positions: List[np.ndarray] = []
+        self._heights: List[np.ndarray] = []
+        self._amplitudes: List[np.ndarray] = []  # (k, n_channels) per gather
+        self._width_of: List[np.ndarray] = []  # selection indices ...
+        self._widths: List[np.ndarray] = []  # ... and their widths (samples)
         #: Open peaks a trim moved to the record carry-over so far.
         self.record_fallbacks = 0
         self._finished = False
@@ -334,16 +391,23 @@ class ExactPeakStream:
 
     @property
     def peaks_emitted(self) -> int:
-        return len(self._complete)
+        """Peaks whose width and amplitudes are both measured."""
+        # The first ``_n_amped`` selected peaks have amplitudes; of
+        # those, the open and carried ones still lack a width.
+        amped = self._n_amped
+        unmeasured = int(np.count_nonzero(self._open.i < amped)) + sum(
+            peak["i"] < amped for peak in self._carried
+        )
+        return amped - unmeasured
 
     def carry_state(self) -> Dict[str, int]:
         """Size of every piece of carry-over (bounded-memory evidence)."""
         return {
             "retained_columns": self._tail.shape[1],
             "stack_entries": len(self._stack),
-            "pending_candidates": len(self._pending),
+            "pending_candidates": self._pending_p.shape[0],
             "open_peaks": len(self._open) + len(self._carried),
-            "amplitude_jobs": len(self._amp_jobs),
+            "amplitude_jobs": self._amp_p.shape[0],
         }
 
     # -- feeding --------------------------------------------------------
@@ -358,7 +422,7 @@ class ExactPeakStream:
             )
         if block.shape[1] == 0:
             return 0
-        before = len(self._complete)
+        before = self.peaks_emitted
         old_n = self._n
         self._tail = np.concatenate([self._tail, block], axis=1)
         self._n += block.shape[1]
@@ -368,11 +432,9 @@ class ExactPeakStream:
         if block_min < self._gmin:
             self._gmin = block_min
         self._feed_carried(old_n)
-        self._scan()
-        self._maybe_close_component(at_finish=False)
-        self._measure(at_finish=False)
+        self._measure(self._select(self._scan(), at_finish=False), at_finish=False)
         self._trim()
-        return len(self._complete) - before
+        return self.peaks_emitted - before
 
     def finish(self) -> PeakReport:
         """Finalize every open structure and assemble the report."""
@@ -383,9 +445,7 @@ class ExactPeakStream:
         duration_s = n / self.sampling_rate_hz
         if n == 0:
             return PeakReport((), 0.0, self.sampling_rate_hz, self.channel)
-        self._scan()
-        self._maybe_close_component(at_finish=True)
-        self._measure(at_finish=True)
+        self._measure(self._select(self._scan(), at_finish=True), at_finish=True)
         # Carried peaks whose right walk hit the end of the trace: the
         # walk stops at the array edge, so the right minimum seen so far
         # is the right base minimum.
@@ -393,26 +453,43 @@ class ExactPeakStream:
             prom = peak["h"] - max(peak["lmin"], peak["rmin"])
             self._finalize_from_records(peak, prom)
         self._carried = []
-        done = sorted(
-            (p for p in self._complete), key=lambda peak: peak["p"]
+        return PeakReport.from_columns(
+            self._columns(), duration_s, self.sampling_rate_hz, self.channel
         )
-        peaks = tuple(
-            DetectedPeak(
-                time_s=peak["p"] / self.sampling_rate_hz,
-                depth=float(peak["h"]),
-                width_s=float(peak["width"] / self.sampling_rate_hz),
-                amplitudes=peak["amps"],
-                sample_index=int(peak["p"]),
+
+    def _columns(self) -> PeakColumns:
+        """Every peak's measurements as report columns, in position order.
+
+        Selection order is position order, and by now every selected
+        peak has its amplitudes (gathered in that order) and exactly one
+        width (scattered back by selection index).
+        """
+        n = self._n_selected
+        if n == 0:
+            empty = np.empty(0)
+            return PeakColumns(
+                empty, empty, empty, np.empty((0, self.n_channels)), _NO_POSITIONS
             )
-            for peak in done
+        positions = np.concatenate(self._positions)
+        width_of = np.concatenate(self._width_of)
+        if not np.array_equal(np.sort(width_of), np.arange(n)):
+            raise AssertionError("a selected peak lacks its one width")
+        widths = np.empty(n)
+        widths[width_of] = np.concatenate(self._widths)
+        return PeakColumns(
+            time_s=positions / self.sampling_rate_hz,
+            depth=np.concatenate(self._heights),
+            width_s=widths / self.sampling_rate_hz,
+            amplitudes=np.concatenate(self._amplitudes),
+            sample_index=positions,
         )
-        return PeakReport(peaks, duration_s, self.sampling_rate_hz, self.channel)
 
     # -- local maxima scan ----------------------------------------------
-    def _scan(self) -> None:
+    def _scan(self) -> np.ndarray:
+        """Advance the local-maxima scan; return the new candidates."""
         L, base = self._n, self._tail_base
         if self._scan_i >= L - 1:
-            return
+            return _NO_POSITIONS
         x = self._tail[self.channel]
         region = x[self._scan_i - 1 - base : L - base]
         if region.shape[0] >= 3 and not np.any(region[1:] == region[:-1]):
@@ -424,12 +501,12 @@ class ExactPeakStream:
                 & (interior > region[2:])
                 & (self.threshold <= interior)
             )
-            for rel in np.nonzero(mask)[0]:
-                self._candidate(self._scan_i + rel)
+            found = np.flatnonzero(mask) + self._scan_i
             self._scan_i = L - 1
-            return
+            return found
         # Scalar path, mirroring scipy's _local_maxima_1d: a plateau
         # whose right edge is not yet visible defers the scan.
+        found = []
         i = self._scan_i
         while i < L - 1:
             xi = x[i - base]
@@ -440,40 +517,55 @@ class ExactPeakStream:
                 if ahead == L:
                     break  # plateau reaches the available end: defer
                 if x[ahead - base] < xi:
-                    self._candidate((i + ahead - 1) // 2)
+                    found.append((i + ahead - 1) // 2)
                     i = ahead
             i += 1
         self._scan_i = i
+        return np.asarray(found, dtype=np.intp)
 
     # -- candidates and distance selection ------------------------------
-    def _candidate(self, p: int) -> None:
-        h = float(self._tail[self.channel, p - self._tail_base])
-        if not self.threshold <= h:
-            return
-        if self._pending and p - self._pending[-1]["p"] >= self.distance:
-            self._close_component()
-        self._pending.append({"p": p, "h": h, "amps": None, "width": None})
+    def _select(self, found: np.ndarray, at_finish: bool) -> _Peaks:
+        """Add the candidates passing the height filter to the open
+        distance component; return the peaks selected from every
+        component that closed.
 
-    def _maybe_close_component(self, at_finish: bool) -> None:
-        if not self._pending:
-            return
-        if at_finish or self._scan_i - self._pending[-1]["p"] >= self.distance:
-            self._close_component()
+        Candidates form one component while each is nearer than
+        ``distance`` to the one before.  A component closes at a wider
+        gap, once the scan is ``distance`` past its last candidate, or
+        when the trace ends.
+        """
+        heights = self._tail[self.channel, found - self._tail_base]
+        passing = self.threshold <= heights
+        p = np.concatenate((self._pending_p, found[passing]))
+        h = np.concatenate((self._pending_h, heights[passing]))
+        starts = np.flatnonzero(np.diff(p) >= self.distance) + 1
+        if p.shape[0] and (at_finish or self._scan_i - p[-1] >= self.distance):
+            closed = p.shape[0]
+        else:
+            closed = int(starts[-1]) if starts.shape[0] else 0
+            starts = starts[:-1]
+        self._pending_p, self._pending_h = p[closed:], h[closed:]
+        if closed == 0:
+            return _NO_PEAKS
+        p, h = p[:closed], h[:closed]
+        edges = np.concatenate(([0], starts, [closed]))
+        keep = np.ones(closed, dtype=bool)
+        for k in np.flatnonzero(np.diff(edges) > 1).tolist():
+            lo, hi = int(edges[k]), int(edges[k + 1])
+            keep[lo:hi] = self._select_by_distance(p[lo:hi], h[lo:hi])
+        p, h = p[keep], h[keep]
+        i = np.arange(self._n_selected, self._n_selected + p.shape[0])
+        self._n_selected += p.shape[0]
+        self._positions.append(p)
+        self._heights.append(h)
+        self._amp_p = np.concatenate((self._amp_p, p))
+        return _Peaks(i, p, h, np.full(p.shape[0], np.nan))
 
-    def _close_component(self) -> None:
-        pending, self._pending = self._pending, []
-        if len(pending) == 1:
-            self._selected.append(pending[0])
-            return
-        keep = self._select_by_distance(pending)
-        self._selected.extend(
-            peak for peak, kept in zip(pending, keep) if kept
-        )
-
-    def _select_by_distance(self, pending: List[dict]) -> List[bool]:
+    def _select_by_distance(
+        self, positions: np.ndarray, priority: np.ndarray
+    ) -> List[bool]:
         """scipy's _select_by_peak_distance on one closed component."""
-        positions = [peak["p"] for peak in pending]
-        priority = np.asarray([peak["h"] for peak in pending])
+        positions = positions.tolist()
         size = len(positions)
         keep = [True] * size
         order = np.argsort(priority)
@@ -492,18 +584,14 @@ class ExactPeakStream:
         return keep
 
     # -- per-feed measurement -------------------------------------------
-    def _measure(self, at_finish: bool) -> None:
+    def _measure(self, new: _Peaks, at_finish: bool) -> None:
         """Measure the newly selected and the open peaks on the tail."""
-        new, self._selected = self._selected, []
-        self._amp_jobs.extend(new)
-        peaks, self._open = self._open + new, []
-        if peaks:
+        peaks, self._open = self._open.join(new), _NO_PEAKS
+        if len(peaks):
             self._measure_widths(peaks, len(new), at_finish)
         self._gather_amplitudes(at_finish)
 
-    def _measure_widths(
-        self, peaks: List[dict], n_new: int, at_finish: bool
-    ) -> None:
+    def _measure_widths(self, peaks: _Peaks, n_new: int, at_finish: bool) -> None:
         """Finalize the widths of ``peaks`` (the last ``n_new`` are new).
 
         One :func:`scipy.signal.peak_prominences` call walks every
@@ -519,35 +607,34 @@ class ExactPeakStream:
         tail's bases stops where the full-trace walk does.  The other
         peaks stay open.
         """
-        base = self._tail_base
         x = self._tail[self.channel]
-        pos = np.fromiter((peak["p"] for peak in peaks), np.intp, len(peaks))
-        pos -= base
+        pos = peaks.p - self._tail_base
         heights = x[pos]
         _, lbases, rbases = sp_signal.peak_prominences(x, pos)
         lmin = x[lbases]
         n_old = len(peaks) - n_new
-        lmin[:n_old] = [peak["lmin"] for peak in peaks[:n_old]]
+        lmin[:n_old] = peaks.lmin[:n_old]
         if n_new and len(self._stack):
+            # NaN-propagating maximum left of each new peak: the maxima
+            # of the segments between peaks, then their running maximum.
             fresh = pos[n_old:]
-            reach = np.maximum.accumulate(x[: int(fresh.max())])
-            no_wall = reach[fresh - 1] <= heights[n_old:]
+            starts = np.concatenate(([0], fresh[:-1]))
+            reach = np.maximum.accumulate(np.maximum.reduceat(x[: fresh[-1]], starts))
+            no_wall = reach <= heights[n_old:]
             for k in (np.flatnonzero(no_wall) + n_old).tolist():
                 trimmed_min, _ = self._stack.query(float(heights[k]))
                 lmin[k] = min(float(lmin[k]), trimmed_min)
-        for peak, value in zip(peaks[n_old:], lmin[n_old:].tolist()):
-            peak["lmin"] = value
         rmin = x[rbases]
         if at_finish:
             final = np.ones(len(peaks), dtype=bool)
         else:
-            # NaN-propagating suffix maximum: a wall lies right of p
-            # iff the maximum after it fails ``<= h``.
-            start = int(pos.min()) + 1
-            ahead = np.maximum.accumulate(x[start:][::-1])[::-1]
-            wall = ~(ahead[pos + 1 - start] <= heights)
+            # NaN-propagating maximum right of each peak (segment maxima
+            # between peaks, then their running maximum from the end):
+            # a wall lies right of p iff it fails ``<= h``.
+            ahead = np.maximum.reduceat(x, pos + 1)
+            wall = ~(np.maximum.accumulate(ahead[::-1])[::-1] <= heights)
             final = wall | (rmin < lmin)
-            self._open = [peaks[k] for k in np.flatnonzero(~final).tolist()]
+            self._open = _Peaks(peaks.i, peaks.p, peaks.h, lmin).take(~final)
         done = np.flatnonzero(final)
         if done.shape[0]:
             # ``max(left_min, right_min)`` as scipy's walk takes it.
@@ -562,14 +649,12 @@ class ExactPeakStream:
                     rbases[done],
                 ),
             )
-            widths = self._absolute_widths(
-                x, level, left_ips, right_ips, lbases[done], rbases[done]
+            self._width_of.append(peaks.i[done])
+            self._widths.append(
+                self._absolute_widths(
+                    x, level, left_ips, right_ips, lbases[done], rbases[done]
+                )
             )
-            for k, width in zip(done.tolist(), widths.tolist()):
-                peak = peaks[k]
-                peak["width"] = width
-                if peak["amps"] is not None:
-                    self._complete.append(peak)
 
     def _absolute_widths(
         self,
@@ -610,52 +695,70 @@ class ExactPeakStream:
         return ip[k:] - ip[:k]
 
     def _gather_amplitudes(self, at_finish: bool) -> None:
-        """One clipped window-max gather, as the one-shot measures it."""
-        if not self._amp_jobs:
+        """One clipped window-max gather, as the one-shot measures it.
+
+        A peak's window is complete once ``p + half_window < n``; the
+        waiting positions are sorted, so the ready ones are a prefix.
+        """
+        waiting = self._amp_p
+        if at_finish:
+            k = waiting.shape[0]
+        else:
+            k = int(np.searchsorted(waiting, self._n - self.half_window))
+        if k == 0:
             return
-        ready: List[dict] = []
-        waiting: List[dict] = []
-        for peak in self._amp_jobs:
-            complete = peak["p"] + self.half_window < self._n
-            (ready if complete or at_finish else waiting).append(peak)
-        self._amp_jobs = waiting
-        if not ready:
-            return
-        pos = np.fromiter((peak["p"] for peak in ready), np.intp, len(ready))
+        pos, self._amp_p = waiting[:k], waiting[k:]
         gather = np.clip(pos + self._offsets, 0, self._n - 1) - self._tail_base
-        amplitudes = self._tail[:, gather].max(axis=1)
-        for j, peak in enumerate(ready):
-            peak["amps"] = amplitudes[:, j].copy()
-            if peak["width"] is not None:
-                self._complete.append(peak)
+        self._amplitudes.append(self._tail[:, gather].max(axis=1).T)
+        self._n_amped += k
 
     # -- record carry-over ----------------------------------------------
-    def _carry_by_records(self, cut: int) -> None:
-        """Move open peaks whose left crossing a cut at ``cut`` could lose.
+    def _crossing_bounds(self) -> np.ndarray:
+        """Per open peak, where its left half-height crossing can lie.
 
         The crossing lies at or right of the last sample left of ``p``
         at or below ``h - (h - lmin) * 0.5`` (the lowest half-height the
-        right base can still give).  While that sample is retained the
-        tail measures the peak; otherwise the peak keeps its left walk
-        as descending-minima records and extends its right walk block
-        by block.
+        right base can still give).  Returns that sample's position, or
+        ``_tail_base - 1`` when the tail holds none.
         """
         x = self._tail[self.channel]
         base = self._tail_base
-        kept = []
-        for peak in self._open:
-            p, h = peak["p"], peak["h"]
-            lowest = h - (h - peak["lmin"]) * 0.5
-            if np.any(x[cut - base : p - base] <= lowest):
-                kept.append(peak)
-                continue
+        bounds = np.empty(len(self._open), dtype=np.intp)
+        for k, (p, h, lmin) in enumerate(
+            zip(
+                self._open.p.tolist(),
+                self._open.h.tolist(),
+                self._open.lmin.tolist(),
+            )
+        ):
+            lowest = h - (h - lmin) * 0.5
+            bounds[k] = base + _last_true(x[: p - base] <= lowest)
+        return bounds
+
+    def _carry_by_records(self, cut: int, crossings: np.ndarray) -> None:
+        """Move the open peaks whose crossing bound a cut at ``cut`` loses.
+
+        Such a peak keeps its left walk as descending-minima records
+        and extends its right walk block by block.
+        """
+        lost = crossings < cut
+        if not lost.any():
+            return
+        x = self._tail[self.channel]
+        base = self._tail_base
+        carried = self._open.take(lost)
+        self._open = self._open.take(~lost)
+        for i, p, h, lmin in zip(
+            carried.i.tolist(),
+            carried.p.tolist(),
+            carried.h.tolist(),
+            carried.lmin.tolist(),
+        ):
             self.record_fallbacks += 1
+            peak = {"i": i, "p": p, "h": h, "lmin": lmin, "rmin": h, "rrecords": []}
             peak["lrecords"], _ = self._left_package(p, h)
-            peak["rmin"] = h
-            peak["rrecords"] = []
             if not self._feed_right(peak, x[p + 1 - base : self._n - base], p + 1, h):
                 self._carried.append(peak)
-        self._open = kept
 
     def _left_package(
         self, p: int, h: float
@@ -712,7 +815,8 @@ class ExactPeakStream:
         wall = ~(seg <= h)
         limit = int(np.argmax(wall)) if wall.any() else seg.shape[0]
         sub = seg[:limit]
-        if sub.shape[0]:
+        # A record is a sample strictly below the right minimum so far.
+        if sub.shape[0] and sub.min() < peak["rmin"]:
             # Running minimum carried across blocks: a record is a sample
             # strictly below everything since the peak, not merely below
             # the minimum of this block's prefix.
@@ -750,9 +854,8 @@ class ExactPeakStream:
             # sample itself.
             left_ip = float(p)
             right_ip = float(p)
-        peak["width"] = right_ip - left_ip
-        if peak["amps"] is not None:
-            self._complete.append(peak)
+        self._width_of.append(np.array([peak["i"]]))
+        self._widths.append(np.array([right_ip - left_ip]))
 
     @staticmethod
     def _cross(
@@ -780,23 +883,35 @@ class ExactPeakStream:
         # ``_scan_i``; every candidate's amplitude window starts half a
         # window before it.
         bound = self._scan_i
-        for peak in self._pending + self._amp_jobs:
-            bound = min(bound, peak["p"])
+        for waiting in (self._pending_p, self._amp_p):
+            if waiting.shape[0]:
+                bound = min(bound, int(waiting[0]))
         bound -= self.half_window
-        if bound <= self._tail_base:
+        base = self._tail_base
+        if bound <= base:
             return
         if not np.isfinite(self._gmin):
             return
         cut_level = 0.5 * (self.threshold + self._gmin)
         x = self._tail[self.channel]
-        window = x[1 : bound - self._tail_base + 1]
-        eligible = np.nonzero(window <= cut_level)[0]
-        if eligible.shape[0] == 0:
+        # Column ``base + 1 + k`` is eligible iff ``eligible[k]``.
+        eligible = x[1 : bound - base + 1] <= cut_level
+        last = _last_true(eligible)
+        if last < 0:
             return
-        cut = self._tail_base + 1 + int(eligible[-1])
-        self._carry_by_records(cut)
-        self._stack.extend(x[: cut - self._tail_base])
-        self._tail = self._tail[:, cut - self._tail_base :]
+        cut = base + 1 + last
+        crossings = self._crossing_bounds()
+        lost = crossings[crossings < cut]
+        if lost.shape[0]:
+            # Stop the cut at the open peaks' crossing bounds, so they
+            # stay on the batched walks, while the tail it leaves stays
+            # within the trim margin; past that, records bound memory.
+            last = _last_true(eligible[: int(lost.min()) - base])
+            if last >= 0 and self._n - (base + 1 + last) <= self._trim_threshold:
+                cut = base + 1 + last
+        self._carry_by_records(cut, crossings)
+        self._stack.extend(x[: cut - base])
+        self._tail = self._tail[:, cut - base :]
         self._tail_base = cut
 
 

@@ -356,13 +356,14 @@ async def _drill(
     # SIGSTOP the primary (unreachable, not dead), let a request queue
     # on it, promote the standby, then SIGCONT: the old primary answers
     # with a superseded epoch and the front door must refuse it and
-    # re-run on the promoted primary — acked exactly once.  The drill
-    # saw the partition at ``fence_epoch``, so the promotion waits out
-    # a lease that is still live (the kill phase's promotion may have
-    # granted it less than a TTL ago) instead of declining to promote a
-    # live, leased primary.
+    # re-run on the promoted primary — acked exactly once.  This is the
+    # partition the kill phase did not touch; its lease is renewed
+    # first, so it is live, and the drill saw the partition at
+    # ``fence_epoch``: the promotion waits the lease out instead of
+    # declining to promote a live, leased primary.
     fence_tenant = by_partition[fence_partition][0]
     stale = cluster._handles[cluster.primary_id(fence_partition)]
+    cluster.renew(fence_partition)
     fence_epoch = cluster.partition_epoch(fence_partition)
     fenced_before = door.fenced
     os.kill(stale.process.pid, signal.SIGSTOP)
@@ -417,8 +418,11 @@ def run_failover(
     observer=NULL_OBSERVER,
 ) -> FailoverReport:
     """Run one failover drill and return its report."""
+    # Tenants clinic-00..05 are the fewest that put sessions on both
+    # smoke partitions (04 and 05 hash to part-01), so the fence phase
+    # runs on the partition the kill phase did not touch.
     workload = ClinicWorkload(
-        n_tenants=4 if smoke else 8,
+        n_tenants=6 if smoke else 8,
         requests_per_tenant=4 if smoke else 6,
         duration_s=6.0 if smoke else 8.0,
         seed=seed + 2016,

@@ -77,11 +77,14 @@ class ParticleType:
         per-particle diameter to include population variability.  Accepts
         scalar or array frequencies.
         """
+        return self.low_frequency_drop(diameter_m) * self.dispersion.scale(frequency_hz)
+
+    def low_frequency_drop(self, diameter_m=None) -> float:
+        """``base_drop * (d / diameter_m)^3``: the drop before dispersion."""
         d = self.diameter_m if diameter_m is None else float(diameter_m)
         if d <= 0:
             raise ValueError(f"diameter_m must be > 0, got {d!r}")
-        volume_ratio = (d / self.diameter_m) ** 3
-        return self.base_drop * volume_ratio * self.dispersion.scale(frequency_hz)
+        return self.base_drop * (d / self.diameter_m) ** 3
 
     def draw_diameter(self, rng: RngLike = None, size=None) -> np.ndarray:
         """Draw particle diameter(s) from a lognormal population model.

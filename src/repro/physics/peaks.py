@@ -125,7 +125,7 @@ class PulseTrain:
         carriers = np.atleast_1d(np.asarray(carriers, dtype=float))
         if len(arrivals) == 0:
             return cls.empty(carriers.shape[0])
-        drops = np.array([a.particle.relative_drop(carriers) for a in arrivals])
+        drops = _relative_drops([a.particle for a in arrivals], carriers)
         measured = np.asarray(circuit.measured_drop(carriers, drops), dtype=float)
         width = np.array([array.dip_fwhm_s(a.velocity_m_s) for a in arrivals])
         time = np.array([a.time_s for a in arrivals], dtype=float)
@@ -166,6 +166,27 @@ class PulseTrain:
     def sigma_s(self) -> np.ndarray:
         """Gaussian sigma of each dip, from its FWHM."""
         return self.width_s / _FWHM_PER_SIGMA
+
+
+def _relative_drops(particles: Sequence, carriers: np.ndarray) -> np.ndarray:
+    """``particle.relative_drop(carriers)`` for every particle, as rows.
+
+    The dispersion scale is computed once per particle type; each row
+    is still that particle's own float times its type's scale.
+    """
+    slots = {}  # id(type) -> row of ``scales``; the types outlive the call
+    scales = []
+    rows = []
+    factors = []
+    for particle in particles:
+        kind = particle.particle_type
+        slot = slots.get(id(kind))
+        if slot is None:
+            slot = slots[id(kind)] = len(scales)
+            scales.append(kind.dispersion.scale(carriers))
+        rows.append(slot)
+        factors.append(kind.low_frequency_drop(particle.diameter_m))
+    return np.array(factors)[:, None] * np.array(scales)[rows]
 
 
 def gap_layout(array, electrode_gains) -> GapLayout:

@@ -41,6 +41,13 @@ class TestFailoverDrill:
         assert inv["stale-epoch-primary-fenced-no-double-ack"].ok
         assert drill.n_fenced >= 1
 
+    def test_fence_runs_on_the_partition_the_kill_left(self, drill):
+        # The kill phase promotes part-00's standby; the smoke tenants
+        # put sessions on part-01 too, so the fence phase runs there.
+        inv = {i.name: i for i in drill.invariants}
+        assert "re-ran on part-01-" in inv["stale-epoch-primary-fenced-no-double-ack"].detail
+        assert drill.n_failovers == 2
+
     def test_stream_resumes_on_promoted_standby(self, drill):
         inv = {i.name: i for i in drill.invariants}
         assert inv["stream-session-resumes-on-promoted-standby"].ok
@@ -54,19 +61,20 @@ class TestFailoverDrill:
         assert len(drill.digest) == 24
         assert drill.outcome_digests
         assert drill.lease_ttl_s > 0
-        assert drill.digest == "1608af42bd46f1379d5fc395", (
+        assert drill.digest == "c6da78808bcb9e74b4083476", (
             f"failover drill digest moved: {drill.digest}"
         )
 
 
 def test_fence_waits_out_a_live_lease():
-    """With a 2 s lease the fence phase starts while the kill phase's
-    promotion still holds its lease: the fencing promotion must wait
-    the lease out, not decline to promote a live, leased primary."""
+    """With a 2 s lease the fenced primary still holds its renewed
+    lease when the fence phase promotes: the fencing promotion must
+    wait the lease out, not decline to promote a live, leased
+    primary."""
     drill = run_failover(seed=0, n_partitions=2, smoke=True, lease_ttl_s=2.0)
     assert drill.passed, drill.format()
     assert drill.n_failovers == 2 and drill.n_fenced >= 1
-    assert drill.digest == "1608af42bd46f1379d5fc395"
+    assert drill.digest == "c6da78808bcb9e74b4083476"
 
 
 def test_inflight_wait_has_a_typed_deadline(monkeypatch):
