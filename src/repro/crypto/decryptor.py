@@ -31,14 +31,14 @@ Algorithm
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util.errors import DecryptionError
+from repro._util.errors import DecryptionError, ValidationError
 from repro.crypto.encryptor import EncryptionPlan
 from repro.crypto.key import EpochKey
-from repro.dsp.peakdetect import DetectedPeak, PeakReport
+from repro.dsp.peakdetect import PeakColumns, PeakReport
 from repro.microfluidics.channel import MicrofluidicChannel
 from repro.microfluidics.flow import NOMINAL_FLOW_RATE_UL_MIN
 from repro.obs import DECRYPTION_COMPLETED, NULL_OBSERVER
@@ -95,9 +95,20 @@ class _Group:
     """Internal: one template match."""
 
     epoch_index: int
-    matched: Tuple[Tuple[DetectedPeak, int], ...]  # (peak, electrode)
+    #: ``(peak index in the report, electrode)`` per matched slot.
+    matched: Tuple[Tuple[int, int], ...]
     credits: int
     template_size: int
+
+
+class _EpochKeying(NamedTuple):
+    """Internal: one epoch's keyed velocity, gap template, slot
+    tolerance and per-electrode gains, derived once per decryption."""
+
+    velocity: float
+    template: List[Tuple[float, int]]
+    tolerance_s: float
+    gain_of: Dict[int, float]
 
 
 @dataclass(frozen=True)
@@ -126,16 +137,20 @@ class SignalDecryptor:
                 f"report covers {report.duration_s:.3f}s but the key schedule "
                 f"only covers {schedule.duration_s:.3f}s"
             )
+        try:
+            columns = report.as_columns()
+        except ValidationError as error:
+            raise DecryptionError(f"peak report cannot be decrypted: {error}") from None
+        if columns.amplitudes.shape[1] == 0 and report.count:
+            raise DecryptionError("peak report has no amplitude channels")
         with observer.span("signal_decrypt", peaks=report.count) as span:
             with observer.span("template_match"):
-                groups, anomalies = self._match_groups(report)
+                groups, anomalies = self._match_groups(columns)
             epoch_counts = self._counts_from_groups(groups)
             with observer.span("recover_particles", groups=len(groups)):
-                particles = [
-                    self._recover_particle(group) for group in groups if group.matched
-                ]
+                particles = self._recover_particles(columns, groups)
             result = DecryptionResult(
-                particles=tuple(particles),
+                particles=particles,
                 epoch_counts=tuple(epoch_counts),
                 observed_peak_count=report.count,
                 merge_credits=sum(group.credits for group in groups),
@@ -157,43 +172,49 @@ class SignalDecryptor:
     # ------------------------------------------------------------------
     # Stage 1+2: template matching with merge recovery
     # ------------------------------------------------------------------
-    def _match_groups(self, report: PeakReport) -> Tuple[List[_Group], int]:
+    def _match_groups(self, columns: PeakColumns) -> Tuple[List[_Group], int]:
         schedule = self.plan.schedule
-        peaks = sorted(report.peaks, key=lambda p: p.time_s)
-        times = [peak.time_s for peak in peaks]
-        assigned = bytearray(len(peaks))
+        all_times = columns.time_s.tolist()
+        # A stable sort of the peak indices by time: equal times keep
+        # report order.
+        order = sorted(range(len(all_times)), key=all_times.__getitem__)
+        times = [all_times[i] for i in order]
+        # The detection channel's amplitudes, in time order.
+        detection = columns.amplitudes[order, 0].tolist() if order else []
+        assigned = bytearray(len(order))
         groups: List[_Group] = []
         anomalies = 0
+        keyed: Dict[int, _EpochKeying] = {}
 
-        # The anchor is the lowest unassigned index: the earliest peak,
-        # and the lowest index among equal times.
+        # The anchor is the lowest unassigned position: the earliest
+        # peak, and the lowest report index among equal times.
         anchor_index = 0
-        while anchor_index < len(peaks):
+        while anchor_index < len(order):
             if assigned[anchor_index]:
                 anchor_index += 1
                 continue
-            anchor = peaks[anchor_index]
-            epoch_time = min(anchor.time_s, schedule.duration_s * (1 - 1e-12))
+            anchor_time = times[anchor_index]
+            epoch_time = min(anchor_time, schedule.duration_s * (1 - 1e-12))
             epoch_index = schedule.epoch_index_at(epoch_time)
-            epoch = schedule.epochs[epoch_index]
-            velocity = self._velocity_for_epoch(epoch)
-            template = self._gap_template(epoch, velocity)
-            tolerance_s = self.tolerance_fraction * self.plan.array.transit_time_s(velocity)
+            keying = keyed.get(epoch_index)
+            if keying is None:
+                keying = keyed[epoch_index] = self._epoch_keying(epoch_index)
+            template, tolerance_s = keying.template, keying.tolerance_s
             # Padding the window to twice the tolerance covers the
             # rounding of ``expected -/+ window`` and of the error test,
             # so the window holds every peak that can pass that test.
             window_s = 2.0 * tolerance_s
 
-            matched: List[Tuple[DetectedPeak, int]] = []
+            matched: List[Tuple[int, int]] = []
             slot_of_peak: Dict[int, int] = {}
             unmatched_slots: List[int] = []
             for slot, (offset_s, electrode) in enumerate(template):
-                expected = anchor.time_s + offset_s
+                expected = anchor_time + offset_s
                 best, best_error = None, tolerance_s
                 # Every peak before the anchor is assigned already.
                 lo = bisect.bisect_left(times, expected - window_s, anchor_index)
                 hi = bisect.bisect_right(times, expected + window_s, lo)
-                # Ascending order with ``<=``: the highest index wins ties.
+                # Ascending order with ``<=``: the highest position wins ties.
                 for i in range(lo, hi):
                     if assigned[i] or i in slot_of_peak:
                         continue
@@ -204,7 +225,7 @@ class SignalDecryptor:
                     unmatched_slots.append(slot)
                 else:
                     slot_of_peak[best] = slot
-                    matched.append((peaks[best], electrode))
+                    matched.append((order[best], electrode))
             if not matched:
                 assigned[anchor_index] = 1
                 anomalies += 1
@@ -212,7 +233,7 @@ class SignalDecryptor:
             for i in slot_of_peak:
                 assigned[i] = 1
             credits = self._credit_merges(
-                peaks, anchor, template, slot_of_peak, unmatched_slots, epoch, tolerance_s
+                times, detection, anchor_time, keying, slot_of_peak, unmatched_slots
             )
             if len(matched) + credits != len(template):
                 anomalies += 1
@@ -228,13 +249,12 @@ class SignalDecryptor:
 
     def _credit_merges(
         self,
-        peaks: Sequence[DetectedPeak],
-        anchor: DetectedPeak,
-        template: List[Tuple[float, int]],
+        times: Sequence[float],
+        detection: Sequence[float],
+        anchor_time: float,
+        keying: _EpochKeying,
         slot_of_peak: Dict[int, int],
         unmatched_slots: List[int],
-        epoch: EpochKey,
-        tolerance_s: float,
     ) -> int:
         """Amplitude-accounting merge recovery.
 
@@ -245,11 +265,15 @@ class SignalDecryptor:
         ``g_candidate * A`` (with ``A`` the particle's base amplitude
         estimated from the other matched slots), the missing dip merged
         into that peak and is credited rather than lost.
+
+        ``times`` and ``detection`` are the peaks' times and
+        detection-channel amplitudes in time order, indexed like
+        ``slot_of_peak``.
         """
         if not unmatched_slots or not slot_of_peak:
             return 0
-        gain_table = self.plan.gain_table
-        detection_channel = 0
+        template, gain_of = keying.template, keying.gain_of
+        tolerance_s = keying.tolerance_s
 
         # Base amplitude estimate from matched slots (depth / gain).
         # The minimum is robust here: merged peaks can only be *deeper*
@@ -257,9 +281,7 @@ class SignalDecryptor:
         # merge-contaminated estimate of the particle's base amplitude.
         ratios = []
         for peak_index, slot in slot_of_peak.items():
-            electrode = template[slot][1]
-            gain = gain_table.gain_for_level(epoch.gain_level_for(electrode))
-            ratios.append(peaks[peak_index].amplitudes[detection_channel] / gain)
+            ratios.append(detection[peak_index] / gain_of[template[slot][1]])
         base_amplitude = float(np.min(ratios))
         if base_amplitude <= 0:
             return 0
@@ -268,23 +290,20 @@ class SignalDecryptor:
         absorbed: Dict[int, int] = {}
         for slot in unmatched_slots:
             offset_s, electrode = template[slot]
-            expected = anchor.time_s + offset_s
+            expected = anchor_time + offset_s
             candidates = [
-                (abs(peaks[i].time_s - expected), i)
+                (abs(times[i] - expected), i)
                 for i in slot_of_peak
-                if abs(peaks[i].time_s - expected) <= 2.0 * tolerance_s
+                if abs(times[i] - expected) <= 2.0 * tolerance_s
             ]
             if not candidates:
                 continue
             _, candidate = min(candidates)
             if absorbed.get(candidate, 0) >= self.max_credits_per_peak:
                 continue
-            candidate_slot = slot_of_peak[candidate]
-            candidate_gain = gain_table.gain_for_level(
-                epoch.gain_level_for(template[candidate_slot][1])
-            )
-            missing_gain = gain_table.gain_for_level(epoch.gain_level_for(electrode))
-            observed = peaks[candidate].amplitudes[detection_channel]
+            candidate_gain = gain_of[template[slot_of_peak[candidate]][1]]
+            missing_gain = gain_of[electrode]
+            observed = detection[candidate]
             solo = candidate_gain * base_amplitude
             merged = (candidate_gain + missing_gain) * base_amplitude
             if abs(observed - merged) < abs(observed - solo):
@@ -310,33 +329,75 @@ class SignalDecryptor:
     # ------------------------------------------------------------------
     # Stage 4: amplitude/width recovery
     # ------------------------------------------------------------------
-    def _recover_particle(self, group: _Group) -> DecryptedParticle:
-        epoch = self.plan.schedule.epochs[group.epoch_index]
-        gain_table = self.plan.gain_table
-        velocity = self._velocity_for_epoch(epoch)
+    def _recover_particles(
+        self, columns: PeakColumns, groups: Sequence[_Group]
+    ) -> Tuple[DecryptedParticle, ...]:
+        """Every group's particle, batched by matched-slot count ``k``.
+
+        For each ``k`` the groups' amplitude rows are gathered into one
+        ``(groups, k, channels)`` array, divided by the slots' keyed
+        gains, and reduced by one median over the ``k`` axis: the
+        median across dips is robust to the occasional merged (double
+        depth) peak contaminating the mean.  Widths go the same way,
+        rescaled by the keyed/reference velocity ratio.  Each group's
+        slice is the per-group arithmetic, so the bits do not depend on
+        the batching.
+        """
         reference_velocity = self.channel.velocity_for_flow_rate(
             self.reference_flow_rate_ul_min
         )
-        amplitude_estimates = []
-        width_estimates = []
-        for peak, electrode in group.matched:
-            gain = gain_table.gain_for_level(epoch.gain_level_for(electrode))
-            amplitude_estimates.append(peak.amplitudes / gain)
-            width_estimates.append(peak.width_s * velocity / reference_velocity)
-        # Median across dips: robust to the occasional merged (double
-        # depth) peak contaminating the mean.
-        amplitudes = np.median(np.vstack(amplitude_estimates), axis=0)
-        clean = len(group.matched) + group.credits == group.template_size
-        return DecryptedParticle(
-            time_s=group.matched[0][0].time_s,
-            amplitudes=amplitudes,
-            width_s=float(np.median(width_estimates)),
-            n_peaks_matched=len(group.matched),
-            epoch_index=group.epoch_index,
-            clean=clean,
-        )
+        all_times = columns.time_s.tolist()
+        keyed: Dict[int, _EpochKeying] = {}
+        by_size: Dict[int, List[int]] = {}
+        for position, group in enumerate(groups):
+            by_size.setdefault(len(group.matched), []).append(position)
+            if group.epoch_index not in keyed:
+                keyed[group.epoch_index] = self._epoch_keying(group.epoch_index)
+        particles: List[Optional[DecryptedParticle]] = [None] * len(groups)
+        for size, positions in by_size.items():
+            indices = np.empty((len(positions), size), dtype=np.intp)
+            gains = np.empty((len(positions), size))
+            velocity = np.empty((len(positions), 1))
+            for row, position in enumerate(positions):
+                group = groups[position]
+                keying = keyed[group.epoch_index]
+                indices[row] = [peak_index for peak_index, _ in group.matched]
+                gains[row] = [keying.gain_of[electrode] for _, electrode in group.matched]
+                velocity[row] = keying.velocity
+            amplitudes = np.median(
+                columns.amplitudes[indices] / gains[:, :, np.newaxis], axis=1
+            )
+            widths = np.median(
+                columns.width_s[indices] * velocity / reference_velocity, axis=1
+            ).tolist()
+            for row, position in enumerate(positions):
+                group = groups[position]
+                particles[position] = DecryptedParticle(
+                    time_s=all_times[group.matched[0][0]],
+                    amplitudes=amplitudes[row],
+                    width_s=widths[row],
+                    n_peaks_matched=size,
+                    epoch_index=group.epoch_index,
+                    clean=size + group.credits == group.template_size,
+                )
+        return tuple(particles)
 
     # ------------------------------------------------------------------
+    def _epoch_keying(self, epoch_index: int) -> _EpochKeying:
+        """What matching and recovery need from one epoch's key."""
+        epoch = self.plan.schedule.epochs[epoch_index]
+        gain_table = self.plan.gain_table
+        velocity = self._velocity_for_epoch(epoch)
+        return _EpochKeying(
+            velocity=velocity,
+            template=self._gap_template(epoch, velocity),
+            tolerance_s=self.tolerance_fraction * self.plan.array.transit_time_s(velocity),
+            gain_of={
+                electrode: gain_table.gain_for_level(epoch.gain_level_for(electrode))
+                for electrode in epoch.active_electrodes
+            },
+        )
+
     def _velocity_for_epoch(self, epoch: EpochKey) -> float:
         return self.channel.velocity_for_flow_rate(
             self.plan.flow_table.rate_for_level(epoch.flow_level)

@@ -15,13 +15,15 @@ is the same pipeline as *one fused pass over one trace*:
   behind the cloud server and the sharded fleet.  Per-peak
   depth/width/amplitude measurement is vectorised
   :func:`scipy.signal.peak_widths` plus one clipped window-max gather
-  (no per-peak Python loop).
+  (no per-peak Python loop), and the report it returns holds those
+  measurements as :class:`~repro.dsp.peakdetect.PeakColumns` (no
+  per-peak object either).
 
 Bit-identity contract
 ---------------------
 
-The fused pass must be *exactly* equal — same ``PeakReport`` tuples,
-bit-identical amplitudes — to the staged pipeline kept in
+The fused pass must be *exactly* equal — same peaks, bit-identical
+amplitudes — to the staged pipeline kept in
 ``tests/_dsp_oracle.py``
 (:func:`~repro.dsp.detrend.piecewise_polynomial_detrend_rows` followed
 by the oracle's per-peak ``report_from_dips`` loop).  That holds by
@@ -52,7 +54,7 @@ from scipy import signal as sp_signal
 from repro._util.errors import ValidationError
 from repro._util.validation import check_positive
 from repro.dsp.detrend import DetrendConfig, blend_window
-from repro.dsp.peakdetect import DetectedPeak, PeakReport
+from repro.dsp.peakdetect import PeakColumns, PeakReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.dsp.peakdetect import PeakDetector
@@ -118,34 +120,41 @@ def _measure_trace(
     yields the same multiset per channel (edge clamping only repeats
     samples), hence a bit-identical max.
     """
-    n_samples = dips.shape[1]
+    n_channels, n_samples = dips.shape
     duration_s = n_samples / sampling_rate_hz
     detection = dips[detection_channel]
     indices, properties = sp_signal.find_peaks(
         detection, height=depth_threshold, distance=distance
     )
+    indices = indices.astype(np.int64, copy=False)
     if indices.size == 0:
-        return PeakReport((), duration_s, sampling_rate_hz, detection_channel)
+        return PeakReport.from_columns(
+            _empty_columns(n_channels), duration_s, sampling_rate_hz, detection_channel
+        )
     widths_samples = sp_signal.peak_widths(detection, indices, rel_height=0.5)[0]
     half_window = max(distance // 2, 1)
     offsets = np.arange(-half_window, half_window + 1)[:, np.newaxis]
     gather = np.clip(indices[np.newaxis, :] + offsets, 0, n_samples - 1)
-    # (n_channels, window, n_peaks) -> max over the window axis.
-    amplitudes = dips[:, gather].max(axis=1)
-    times_s = indices / sampling_rate_hz
-    widths_s = widths_samples / sampling_rate_hz
-    heights = properties["peak_heights"]
-    peaks = tuple(
-        DetectedPeak(
-            time_s=times_s[j],
-            depth=float(heights[j]),
-            width_s=float(widths_s[j]),
-            amplitudes=amplitudes[:, j].copy(),
-            sample_index=int(indices[j]),
-        )
-        for j in range(indices.shape[0])
+    # (n_channels, window, n_peaks) -> max over the window axis, then
+    # one (n_peaks, n_channels) row per peak.
+    amplitudes = np.ascontiguousarray(dips[:, gather].max(axis=1).T)
+    columns = PeakColumns(
+        time_s=indices / sampling_rate_hz,
+        depth=properties["peak_heights"],
+        width_s=widths_samples / sampling_rate_hz,
+        amplitudes=amplitudes,
+        sample_index=indices,
     )
-    return PeakReport(peaks, duration_s, sampling_rate_hz, detection_channel)
+    return PeakReport.from_columns(
+        columns, duration_s, sampling_rate_hz, detection_channel
+    )
+
+
+def _empty_columns(n_channels: int) -> PeakColumns:
+    empty = np.empty(0)
+    return PeakColumns(
+        empty, empty, empty, np.empty((0, n_channels)), np.empty(0, dtype=np.int64)
+    )
 
 
 def fused_detect(
@@ -170,7 +179,9 @@ def fused_detect(
             f"for {trace.shape[0]}-channel trace"
         )
     if trace.shape[1] == 0:
-        return PeakReport((), 0.0, sampling_rate_hz, detector.detection_channel)
+        return PeakReport.from_columns(
+            _empty_columns(trace.shape[0]), 0.0, sampling_rate_hz, detector.detection_channel
+        )
     dips = fused_dips(trace, sampling_rate_hz, detector.detrend)
     distance = max(int(round(detector.min_separation_s * sampling_rate_hz)), 1)
     return _measure_trace(

@@ -23,13 +23,17 @@ from repro._util.validation import check_positive
 from repro.dsp.detrend import DetrendConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectedPeak:
     """One peak found on the encrypted (or plaintext) trace.
 
     ``amplitudes`` is the fractional dip depth per acquisition channel
     measured at this peak's sample index; ``depth`` is the depth on the
     detection channel.
+
+    Peaks compare by value, field by field, with ``amplitudes``
+    compared as arrays (IEEE semantics: ``-0.0 == 0.0``, NaN equals
+    nothing).  The hash covers the scalar fields only.
     """
 
     time_s: float
@@ -41,6 +45,20 @@ class DetectedPeak:
     def __post_init__(self) -> None:
         amplitudes = np.atleast_1d(np.asarray(self.amplitudes, dtype=float))
         object.__setattr__(self, "amplitudes", amplitudes)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return bool(
+            self.time_s == other.time_s
+            and self.depth == other.depth
+            and self.width_s == other.width_s
+            and self.sample_index == other.sample_index
+            and np.array_equal(self.amplitudes, other.amplitudes)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.time_s, self.depth, self.width_s, self.sample_index))
 
 
 class PeakColumns(NamedTuple):
@@ -56,6 +74,59 @@ class PeakColumns(NamedTuple):
     amplitudes: np.ndarray
     sample_index: np.ndarray
 
+    @classmethod
+    def from_rows(
+        cls,
+        time_s: Sequence[float],
+        depth: Sequence[float],
+        width_s: Sequence[float],
+        amplitudes: Sequence[np.ndarray],
+        sample_index: Sequence[int],
+    ) -> "PeakColumns":
+        """Columns from per-peak values, one sequence per field.
+
+        Raises :class:`ValidationError` when the peaks cannot be held
+        as columns: amplitude rows that are not flat or not all one
+        length, or a sample index outside int64.  An empty report gets
+        a ``(0, 0)`` amplitude matrix.
+        """
+        try:
+            matrix = np.array(amplitudes, dtype=float)
+        except ValueError as error:
+            raise ValidationError(f"peak amplitude rows are ragged: {error}") from None
+        if matrix.shape == (0,):
+            matrix = matrix.reshape(0, 0)
+        if matrix.ndim != 2:
+            raise ValidationError(
+                f"peak amplitude rows form a {matrix.ndim}-D array, not a matrix"
+            )
+        try:
+            index = np.array(sample_index, dtype=np.int64)
+        except OverflowError as error:
+            raise ValidationError(f"peak sample index outside int64: {error}") from None
+        return cls(
+            np.array(time_s, dtype=float),
+            np.array(depth, dtype=float),
+            np.array(width_s, dtype=float),
+            matrix,
+            index,
+        )
+
+    def equals(self, other: "PeakColumns") -> bool:
+        """Value equality of the peaks two column sets hold.
+
+        Every column compares as an array, so NaN equals nothing; two
+        empty sets are equal whatever their channel count.
+        """
+        if self.sample_index.shape[0] != other.sample_index.shape[0]:
+            return False
+        if self.sample_index.shape[0] == 0:
+            return True
+        return all(
+            mine is theirs or np.array_equal(mine, theirs)
+            for mine, theirs in zip(self, other)
+        )
+
 
 class PeakReport:
     """Everything the analysis side returns to the controller.
@@ -65,13 +136,21 @@ class PeakReport:
     amplitudes (paper §IV-A: "returns encoded peak count, with
     associated time-stamps, amplitudes and widths").
 
-    A report holds its peaks either as :class:`DetectedPeak` rows
-    (``PeakReport(peaks, ...)``) or as :class:`PeakColumns`
-    (:meth:`from_columns`, what the streaming detector emits).  A
+    A report holds its peaks either as :class:`PeakColumns`
+    (:meth:`from_columns`: what both detectors emit and what the record
+    store keeps) or as :class:`DetectedPeak` rows
+    (``PeakReport(peaks, ...)``: what the record codec decodes).  A
     column-backed report builds its rows only when :attr:`peaks` is
-    first read; :attr:`count`, :meth:`times` and
-    :func:`repro.cloud.api.report_to_dict` read the columns.  Either
-    form is immutable, and equality and hashing go through the rows.
+    first read; :attr:`count`, :meth:`times`, :meth:`as_columns`,
+    equality and :func:`repro.cloud.api.report_to_dict` read the
+    columns.  Either form is immutable.
+
+    Two reports are equal when their headers and peaks are equal by
+    value, whatever form each holds: floats compare as IEEE values
+    (``-0.0 == 0.0``; NaN equals nothing, so a report holding NaN
+    equals only itself) and amplitude rows compare as arrays.  Two
+    column-backed reports compare column by column without building
+    rows.  The hash covers the header and the sample indices.
     """
 
     __slots__ = (
@@ -152,17 +231,45 @@ class PeakReport:
             return self.columns.time_s.copy()
         return np.asarray([p.time_s for p in self._peaks])
 
+    def as_columns(self) -> PeakColumns:
+        """The peaks as :class:`PeakColumns`: the report's own columns,
+        or columns built from its rows.
+
+        Raises :class:`ValidationError` for rows that columns cannot
+        hold (see :meth:`PeakColumns.from_rows`).
+        """
+        if self.columns is not None:
+            return self.columns
+        peaks = self._peaks
+        return PeakColumns.from_rows(
+            [p.time_s for p in peaks],
+            [p.depth for p in peaks],
+            [p.width_s for p in peaks],
+            [p.amplitudes for p in peaks],
+            [p.sample_index for p in peaks],
+        )
+
     # -- frozen-dataclass behaviour, kept for both forms ----------------
-    def _key(self) -> tuple:
-        return (self.peaks, self.duration_s, self.sampling_rate_hz, self.detection_channel)
+    def _header(self) -> tuple:
+        return (self.duration_s, self.sampling_rate_hz, self.detection_channel)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        if self is other:
+            return True
+        if self._header() != other._header():
+            return False
+        if self.columns is not None and other.columns is not None:
+            return self.columns.equals(other.columns)
+        return self.peaks == other.peaks
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        if self.columns is not None:
+            indices = tuple(self.columns.sample_index.tolist())
+        else:
+            indices = tuple(p.sample_index for p in self._peaks)
+        return hash(self._header() + indices)
 
     def __repr__(self) -> str:
         return (

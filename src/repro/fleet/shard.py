@@ -558,7 +558,7 @@ class _ShardRuntime:
                     n_chunks=outcome.n_chunks,
                     n_samples=outcome.n_samples,
                     n_duplicates=outcome.n_duplicates,
-                    peak_count=len(outcome.report.peaks),
+                    peak_count=outcome.report.count,
                     report_digest=outcome.digest,
                     degraded=outcome.degraded,
                     degraded_reason=outcome.degraded_reason,

@@ -30,8 +30,9 @@ from repro._util.errors import (
     AdmissionError,
     MalformedPayloadError,
     OversizedPayloadError,
+    ValidationError,
 )
-from repro.dsp.peakdetect import DetectedPeak, PeakReport
+from repro.dsp.peakdetect import DetectedPeak, PeakColumns, PeakReport
 from repro.obs import GUARD_REJECTED, NULL_OBSERVER
 
 #: Counter bumped once per refused payload, labelled only by total.
@@ -157,12 +158,22 @@ def admit_report(
     """Refuse a :class:`~repro.dsp.peakdetect.PeakReport` look-alike
     whose fields are missing, non-finite, or out of budget.
 
-    Returns it in the types the record journal decodes
-    (:func:`repro.cloud.api.report_from_dict`), so a stored report
-    replays to itself on recovery and on a standby.
+    Returns a column-backed report holding admission's own read-only
+    float64/int64 copies of the peaks, with the header in the types
+    the record journal decodes (:func:`repro.cloud.api.report_from_dict`),
+    so a stored report replays to itself on recovery and on a standby.
+    A column-backed input is checked with vectorised tests; a row-built
+    one (what the record codec decodes) is checked row by row.  Either
+    way the refusal names the first offending peak's first failed check,
+    in the order the rows are checked.  Rows that columns cannot hold
+    (amplitude rows of different lengths, which only the codec accepts)
+    stay rows.
     """
     try:
-        peaks = getattr(report, "peaks", None)
+        # A column-backed report is read through its columns only: its
+        # ``peaks`` would build the rows this path exists to avoid.
+        columns = getattr(report, "columns", None)
+        peaks = columns if columns is not None else getattr(report, "peaks", None)
         duration = getattr(report, "duration_s", None)
         rate = getattr(report, "sampling_rate_hz", None)
         if peaks is None or duration is None or rate is None:
@@ -173,34 +184,24 @@ def admit_report(
             _refuse(observer, boundary, f"report duration {duration!r} invalid")
         if not math.isfinite(rate) or rate <= 0:
             _refuse(observer, boundary, f"report sampling rate {rate!r} invalid")
-        if len(peaks) > max_peaks:
+        count = len(columns.time_s) if columns is not None else len(peaks)
+        if count > max_peaks:
             _refuse(
                 observer,
                 boundary,
-                f"{len(peaks)} peaks exceeds cap {max_peaks}",
+                f"{count} peaks exceeds cap {max_peaks}",
                 OversizedPayloadError,
             )
-        canonical = []
-        for peak in peaks:
-            time_s = float(peak.time_s)
-            depth = float(peak.depth)
-            width = float(peak.width_s)
-            if not (
-                math.isfinite(time_s)
-                and math.isfinite(depth)
-                and math.isfinite(width)
-            ):
-                _refuse(observer, boundary, "peak has non-finite fields")
-            amplitudes = np.asarray(peak.amplitudes, dtype=float)
-            if not np.isfinite(amplitudes).all():
-                _refuse(observer, boundary, "peak amplitudes non-finite")
-            if amplitudes.ndim > 1:
-                _refuse(observer, boundary, "peak amplitudes are not a flat array")
-            index = operator.index(peak.sample_index)
-            canonical.append(DetectedPeak(time_s, depth, width, amplitudes, index))
-        return PeakReport(
-            tuple(canonical), duration, rate, operator.index(report.detection_channel)
-        )
+        if columns is not None:
+            admitted = _admit_columns(columns, observer, boundary)
+        else:
+            admitted = _admit_rows(peaks, observer, boundary)
+        channel = operator.index(report.detection_channel)
+        if isinstance(admitted, PeakColumns):
+            for column in admitted:
+                column.flags.writeable = False
+            return PeakReport.from_columns(admitted, duration, rate, channel)
+        return PeakReport(admitted, duration, rate, channel)
     except AdmissionError:
         raise
     except Exception as error:
@@ -209,6 +210,77 @@ def admit_report(
             boundary,
             f"unreadable report ({type(error).__name__}: {error})",
         )
+
+
+#: The per-peak refusals, in the order each peak is checked.
+_NON_FINITE_FIELDS = "peak has non-finite fields"
+_NON_FINITE_AMPLITUDES = "peak amplitudes non-finite"
+_NOT_FLAT = "peak amplitudes are not a flat array"
+
+
+def _admit_columns(columns: Any, observer: Any, boundary: str) -> PeakColumns:
+    """Vectorised peak checks on report columns; returns fresh copies."""
+    time_s, depth, width_s, amplitudes, sample_index = columns
+    time_s, depth, width_s, amplitudes = (
+        np.array(column, dtype=float) for column in (time_s, depth, width_s, amplitudes)
+    )
+    sample_index = np.asarray(sample_index)
+    count = time_s.shape
+    if not (
+        time_s.ndim == 1
+        and depth.shape == width_s.shape == sample_index.shape == count
+        and amplitudes.ndim == 2
+        and amplitudes.shape[0] == count[0]
+    ):
+        _refuse(observer, boundary, "report columns disagree in shape")
+    if sample_index.dtype.kind not in "iu" or (
+        sample_index.size and sample_index.max() > np.iinfo(np.int64).max
+    ):
+        _refuse(
+            observer,
+            boundary,
+            f"report sample indices are not int64 ({sample_index.dtype})",
+        )
+    bad_fields = ~(np.isfinite(time_s) & np.isfinite(depth) & np.isfinite(width_s))
+    bad_amplitudes = ~np.isfinite(amplitudes).all(axis=1)
+    offenders = np.flatnonzero(bad_fields | bad_amplitudes)
+    if offenders.size:
+        first = offenders[0]
+        _refuse(
+            observer,
+            boundary,
+            _NON_FINITE_FIELDS if bad_fields[first] else _NON_FINITE_AMPLITUDES,
+        )
+    return PeakColumns(
+        time_s, depth, width_s, amplitudes, sample_index.astype(np.int64)
+    )
+
+
+def _admit_rows(peaks: Any, observer: Any, boundary: str):
+    """Row-by-row peak checks; returns columns, or rows columns cannot hold."""
+    times, depths, widths, rows, indices = [], [], [], [], []
+    for peak in peaks:
+        time_s = float(peak.time_s)
+        depth = float(peak.depth)
+        width = float(peak.width_s)
+        if not (
+            math.isfinite(time_s) and math.isfinite(depth) and math.isfinite(width)
+        ):
+            _refuse(observer, boundary, _NON_FINITE_FIELDS)
+        amplitudes = np.asarray(peak.amplitudes, dtype=float)
+        if not np.isfinite(amplitudes).all():
+            _refuse(observer, boundary, _NON_FINITE_AMPLITUDES)
+        if amplitudes.ndim > 1:
+            _refuse(observer, boundary, _NOT_FLAT)
+        times.append(time_s)
+        depths.append(depth)
+        widths.append(width)
+        rows.append(np.atleast_1d(amplitudes))
+        indices.append(operator.index(peak.sample_index))
+    try:
+        return PeakColumns.from_rows(times, depths, widths, rows, indices)
+    except ValidationError:
+        return tuple(map(DetectedPeak, times, depths, widths, rows, indices))
 
 
 def admit_identifier_key(

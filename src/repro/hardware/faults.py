@@ -248,9 +248,7 @@ def self_test(
 
         expected_total = expected_per_bead * n_test_beads
         observed = report.count
-        mean_depth = (
-            float(np.mean([p.depth for p in report.peaks])) if report.peaks else 0.0
-        )
+        mean_depth = float(np.mean(report.as_columns().depth)) if observed else 0.0
 
         stuck_extras = sum(
             array.dips_per_particle(e)

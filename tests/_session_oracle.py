@@ -113,7 +113,9 @@ def scalar_match_groups(
 ) -> Tuple[List[_Group], int]:
     """The set-scan template match (the differential oracle)."""
     schedule = decryptor.plan.schedule
-    peaks = sorted(report.peaks, key=lambda p: p.time_s)
+    # Groups name peaks by report index; the scan walks them in time order.
+    order = sorted(range(report.count), key=lambda i: report.peaks[i].time_s)
+    peaks = [report.peaks[i] for i in order]
     unassigned: Set[int] = set(range(len(peaks)))
     groups: List[_Group] = []
     anomalies = 0
@@ -131,7 +133,7 @@ def scalar_match_groups(
             velocity
         )
 
-        matched: List[Tuple[DetectedPeak, int]] = []
+        matched: List[Tuple[int, int]] = []
         slot_of_peak: Dict[int, int] = {}
         unmatched_slots: List[int] = []
         for slot, (offset_s, electrode) in enumerate(template):
@@ -147,7 +149,7 @@ def scalar_match_groups(
                 unmatched_slots.append(slot)
             else:
                 slot_of_peak[best] = slot
-                matched.append((peaks[best], electrode))
+                matched.append((order[best], electrode))
         if not matched:
             unassigned.discard(anchor_index)
             anomalies += 1
@@ -227,9 +229,7 @@ def scalar_decrypt(decryptor: SignalDecryptor, report: PeakReport) -> Decryption
     """``SignalDecryptor.decrypt`` with the set-scan template match."""
     groups, anomalies = scalar_match_groups(decryptor, report)
     return DecryptionResult(
-        particles=tuple(
-            decryptor._recover_particle(group) for group in groups if group.matched
-        ),
+        particles=decryptor._recover_particles(report.as_columns(), groups),
         epoch_counts=tuple(decryptor._counts_from_groups(groups)),
         observed_peak_count=report.count,
         merge_credits=sum(group.credits for group in groups),

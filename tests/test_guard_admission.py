@@ -166,6 +166,128 @@ class TestAdmitReport:
             admit_report(broken)
 
 
+def as_columns(report):
+    """The same report, column-backed."""
+    return PeakReport.from_columns(
+        report.as_columns(),
+        report.duration_s,
+        report.sampling_rate_hz,
+        report.detection_channel,
+    )
+
+
+def poisoned(*edits, n_peaks=3):
+    """A rows report with ``(peak, field, value)`` edits applied."""
+    peaks = list(make_report(n_peaks).peaks)
+    for index, name, value in edits:
+        fields = dict(vars(peaks[index]))
+        fields[name] = value
+        peaks[index] = DetectedPeak(**fields)
+    return PeakReport(tuple(peaks), 10.0, 450.0, 0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: (rows report, admit_report kwargs, error type, message) per refusal.
+REFUSALS = [
+    (poisoned((1, "depth", NAN)), {}, MalformedPayloadError, "peak has non-finite fields"),
+    (poisoned((0, "time_s", -INF)), {}, MalformedPayloadError, "peak has non-finite fields"),
+    (poisoned((2, "width_s", INF)), {}, MalformedPayloadError, "peak has non-finite fields"),
+    (
+        poisoned((1, "amplitudes", np.array([0.01, NAN]))),
+        {},
+        MalformedPayloadError,
+        "peak amplitudes non-finite",
+    ),
+    # The first offending peak decides, whatever its check.
+    (
+        poisoned((0, "amplitudes", np.array([INF, 0.0])), (1, "time_s", NAN)),
+        {},
+        MalformedPayloadError,
+        "peak amplitudes non-finite",
+    ),
+    (
+        poisoned((2, "amplitudes", np.array([INF, 0.0])), (1, "depth", NAN)),
+        {},
+        MalformedPayloadError,
+        "peak has non-finite fields",
+    ),
+    (
+        poisoned((1, "amplitudes", np.array([NAN, NAN])), (1, "width_s", NAN)),
+        {},
+        MalformedPayloadError,
+        "peak has non-finite fields",
+    ),
+    (make_report(n_peaks=5), {"max_peaks": 4}, OversizedPayloadError, "5 peaks exceeds cap 4"),
+    (
+        PeakReport(make_report().peaks, -1.0, 450.0, 0),
+        {},
+        MalformedPayloadError,
+        "report duration -1.0 invalid",
+    ),
+    (
+        PeakReport(make_report().peaks, 10.0, NAN, 0),
+        {},
+        MalformedPayloadError,
+        "report sampling rate nan invalid",
+    ),
+]
+
+
+class TestAdmitReportForms:
+    """Row-built and column-backed reports get the same verdicts."""
+
+    @pytest.mark.parametrize("rows, kwargs, error, message", REFUSALS)
+    @pytest.mark.parametrize("form", ["rows", "columns"])
+    def test_refusals(self, observer, rows, kwargs, error, message, form):
+        report = rows if form == "rows" else as_columns(rows)
+        with pytest.raises(error) as excinfo:
+            admit_report(report, observer=observer, boundary="store", **kwargs)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == f"[store] {message}"
+        assert observer.metrics.counter("guard.rejected.store").value == 1
+        if form == "columns":
+            assert report._peaks is None
+
+    @pytest.mark.parametrize("form", ["rows", "columns"])
+    def test_admitted_report_is_read_only_columns(self, form):
+        rows = make_report()
+        report = rows if form == "rows" else as_columns(rows)
+        admitted = admit_report(report)
+        assert admitted.columns is not None and admitted._peaks is None
+        assert admitted == rows
+        for column in admitted.columns:
+            assert not column.flags.writeable
+        if form == "columns":
+            for mine, theirs in zip(admitted.columns, report.columns):
+                assert not np.shares_memory(mine, theirs)
+        assert admitted.columns.sample_index.dtype == np.int64
+        assert admitted.columns.amplitudes.shape == (3, 2)
+
+    def test_ragged_rows_stay_rows(self):
+        peaks = make_report(n_peaks=2).peaks
+        ragged = PeakReport(
+            (peaks[0], DetectedPeak(1.0, 0.01, 0.02, np.asarray([0.01]), 5)),
+            10.0,
+            450.0,
+            0,
+        )
+        admitted = admit_report(ragged)
+        assert admitted.columns is None
+        assert admitted == ragged
+
+    def test_malformed_columns_refused(self):
+        columns = make_report().as_columns()._replace(depth=np.zeros(2))
+        report = PeakReport.from_columns(columns, 10.0, 450.0, 0)
+        with pytest.raises(MalformedPayloadError, match="disagree in shape"):
+            admit_report(report)
+        fractional = columns._replace(
+            depth=np.zeros(3), sample_index=np.array([0.5, 1.0, 2.0])
+        )
+        with pytest.raises(MalformedPayloadError, match="not int64"):
+            admit_report(PeakReport.from_columns(fractional, 10.0, 450.0, 0))
+
+
 class TestAdmitKeyAndMetadata:
     def test_honest_key(self):
         assert admit_identifier_key("bead_3.58um:2|bead_7.8um:0") != ""

@@ -180,20 +180,15 @@ class TestArrivalTimes:
 # Template matching
 # ---------------------------------------------------------------------------
 def group_key(groups):
-    """Groups by peak identity: both paths sort the same peak objects."""
+    """Groups by the report indices of their peaks."""
     return [
-        (
-            group.epoch_index,
-            tuple((id(peak), electrode) for peak, electrode in group.matched),
-            group.credits,
-            group.template_size,
-        )
+        (group.epoch_index, group.matched, group.credits, group.template_size)
         for group in groups
     ]
 
 
 def assert_matches_oracle(decryptor: SignalDecryptor, report: PeakReport) -> None:
-    groups, anomalies = decryptor._match_groups(report)
+    groups, anomalies = decryptor._match_groups(report.as_columns())
     oracle_groups, oracle_anomalies = scalar_match_groups(decryptor, report)
     assert anomalies == oracle_anomalies
     assert group_key(groups) == group_key(oracle_groups)
@@ -323,10 +318,10 @@ class TestTemplateMatch:
         decryptor, _ = self._one_slot_plan()
         first, twin = make_peak(1.0, 0.01), make_peak(1.0, 0.02)
         report = PeakReport((first, twin), 2.0, 450.0, 0)
-        groups, anomalies = decryptor._match_groups(report)
+        groups, anomalies = decryptor._match_groups(report.as_columns())
         # Anchor ``first`` (lowest index); slot 0 goes to ``twin``
         # (equal error, higher index); ``first`` then anchors alone.
-        assert [group.matched[0][0] for group in groups] == [twin, first]
+        assert [group.matched[0][0] for group in groups] == [1, 0]
         assert anomalies == 0
         assert_matches_oracle(decryptor, report)
 
@@ -346,10 +341,11 @@ class TestTemplateMatch:
         particle = [make_peak(0.2 + offset_s, 0.01) for offset_s, _ in template]
         first, twin = make_peak(1.5, 0.01), make_peak(1.5, 0.02)
         report = PeakReport(tuple(particle) + (first, twin), 2.0, 450.0, 0)
-        groups, _ = decryptor._match_groups(report)
-        assert [peak for peak, _ in groups[0].matched] == particle
+        groups, _ = decryptor._match_groups(report.as_columns())
+        assert [index for index, _ in groups[0].matched] == list(range(len(particle)))
         # Anchor ``first``; slot 0 goes to ``twin``; ``first`` then anchors alone.
-        assert [group.matched[0][0] for group in groups[1:]] == [twin, first]
+        n = len(particle)
+        assert [group.matched[0][0] for group in groups[1:]] == [n + 1, n]
         assert_matches_oracle(decryptor, report)
 
     def test_tolerance_edges_to_the_ulp(self):
